@@ -51,6 +51,7 @@ from .evaluation import (
     subspace_dist,
 )
 from .linalg import (
+    NonFiniteError,
     QrFactors,
     as_sparse,
     gram_diagonal,
@@ -71,6 +72,7 @@ __all__ = [
     "IterationFailure",
     "LingConfig",
     "LingSolver",
+    "NonFiniteError",
     "QrFactors",
     "RangeBasis",
     "RateFit",

@@ -152,8 +152,8 @@ def exact_cca(x, y, k_cca, ridge=False):
     canonical correlations, and mapping the singular vectors back through
     the whitening factors gives the loadings.  Desk scale only.
     """
-    x = as_sparse(x)
-    y = as_sparse(y)
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
     p1, p2 = x.shape[1], y.shape[1]
@@ -187,8 +187,8 @@ def exact_cca_result(x, y, k_cca, ridge=False):
     """
     t0 = time.perf_counter()
     w0 = sparse_work.total
-    x = as_sparse(x)
-    y = as_sparse(y)
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
     factors = exact_cca(x, y, k_cca, ridge=ridge)
     bases = []
     for side, a, loadings in (("x", x, factors.x_loadings), ("y", y, factors.y_loadings)):
@@ -278,8 +278,8 @@ def iterative_ls_cca(
     reference=(x_ref, y_ref) additionally records subspace distances to
     those references.
     """
-    x = as_sparse(x)
-    y = as_sparse(y)
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
     if not 1 <= k_cca <= min(x.shape[1], y.shape[1]):
@@ -344,8 +344,8 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     """
     t0 = time.perf_counter()
     w0 = sparse_work.total
-    x = as_sparse(x)
-    y = as_sparse(y)
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
     children = np.random.SeedSequence(ling_cfg.seed).spawn(3)
     seed_init, seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     solver_x = build_solver(x, replace(ling_cfg, seed=seed_x))
@@ -399,8 +399,8 @@ def _diagonal_ls(a, side):
 
 def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     """Orthogonal iteration with diagonal-Gram projections per side."""
-    x = as_sparse(x)
-    y = as_sparse(y)
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
     return iterative_ls_cca(
         x,
         y,
@@ -425,8 +425,8 @@ def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
     """
     t0 = time.perf_counter()
     w0 = sparse_work.total
-    x = as_sparse(x)
-    y = as_sparse(y)
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
     if not 1 <= k_cca <= k_rpcca <= min(x.shape[1], y.shape[1]):

@@ -38,6 +38,7 @@ from .datasets import (
     tokens_to_indicators,
 )
 from .evaluation import captured_correlation_sum, subspace_dist
+from .linalg import NonFiniteError
 from .ling import LingConfig
 
 ALGORITHMS = ("exact", "lcca", "dcca", "gcca", "rpcca")
@@ -245,6 +246,9 @@ def run(config):
         if config.out is None:
             raise ConfigError("--out directory is required")
         x, y, meta = _load_dataset(config)
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -455,6 +459,9 @@ def main(argv=None):
             seed = fields.pop("seed", args.seed)
             configs.append(RunConfig(**{**base, **fields, "seed": seed}))
         rows = compare(configs)
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,7 +71,7 @@ def read_matrix_market(path):
         if not (1 <= i <= n and 1 <= j <= p):
             fail(lineno, f"index ({i}, {j}) outside 1-based bounds ({n}, {p})")
         rows[k], cols[k], vals[k] = i - 1, j - 1, v
-    return as_sparse((vals, (rows, cols)), shape=(n, p))
+    return as_sparse((vals, (rows, cols)), shape=(n, p), name=str(path))
 
 
 def write_matrix_market(path, a):
@@ -123,6 +123,7 @@ def read_libsvm(path, n_cols):
     return as_sparse(
         (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
         shape=(len(lines), n_cols),
+        name=str(path),
     )
 
 

@@ -5,11 +5,13 @@ duplicate-free column indices and no explicitly stored zeros; `as_sparse`
 produces that form and freezes the underlying buffers.  Dense matrices are
 plain float64 ndarrays and are tall-skinny everywhere in this package.
 
-The two sparse-dense products funnel through a process-global work counter
+The two sparse-dense products funnel through a per-thread work counter
 (`sparse_work`) that tallies nonzero multiplies; algorithm drivers snapshot
-it to report machine-independent compute budgets.
+it to report machine-independent compute budgets, so solves running in
+separate threads each see only their own products.
 """
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -20,11 +22,18 @@ from scipy import sparse
 RANK_RTOL = 1e-12
 
 
-class _SparseWork:
+# CholeskyQR2 is used for blocks with at least this many rows, and only
+# while the first Cholesky factor is conditioned within _CHOLQR2_MAX_COND.
+_CHOLQR2_MIN_ROWS = 1000
+_CHOLQR2_MAX_COND = 1e6
+
+
+class _SparseWork(threading.local):
     """Tally of nonzero multiplies performed by the sparse kernels.
 
-    Process-global instrumentation, not part of any numerical contract;
-    callers snapshot `total` before and after a run to meter it.
+    Thread-local instrumentation, not part of any numerical contract:
+    each thread sees its own `total`, starting at 0, and callers snapshot
+    it before and after a run to meter that run alone.
     """
 
     def __init__(self):
@@ -40,19 +49,29 @@ class _SparseWork:
 sparse_work = _SparseWork()
 
 
-def as_sparse(a, shape=None):
+class NonFiniteError(ValueError):
+    """A matrix handed to the package holds NaN or infinite values."""
+
+
+def as_sparse(a, shape=None, name="matrix"):
     """Return `a` as a canonical, frozen CSR matrix.
 
     Accepts anything `scipy.sparse.csr_array` accepts (dense arrays, other
     sparse formats, (data, (row, col)) triplets).  Duplicates are summed,
     indices sorted, explicit zeros dropped, and the result's buffers are
     marked read-only so shared matrices cannot be mutated downstream.
+    Non-finite values raise `NonFiniteError`, with `name` naming the input.
     """
     m = sparse.csr_array(a, shape=shape, dtype=np.float64, copy=True)
     m.sum_duplicates()
     m.sort_indices()
     m.eliminate_zeros()
     m.check_format(full_check=True)
+    finite = np.isfinite(m.data)
+    if not finite.all():
+        raise NonFiniteError(
+            f"{name} holds {finite.size - np.count_nonzero(finite)} non-finite values"
+        )
     for buf in (m.data, m.indices, m.indptr):
         buf.flags.writeable = False
     return m
@@ -96,17 +115,48 @@ class QrFactors(NamedTuple):
     r: np.ndarray
 
 
-def thin_qr(m):
-    """Thin QR of a tall-skinny dense matrix via Householder reflections.
+def _cholesky_qr2(m):
+    """CholeskyQR2 factors of m, or None when the guard refuses the block.
 
-    Column signs of q are flipped so diag(r) is non-negative, which makes
-    the factorization deterministic.  Rank deficiency is not an error here;
+    Each pass is r = cholesky(m.T m).T, q = m inv(r); the second pass runs
+    on the first q, and r = r2 r1.  Cholesky factors have a positive
+    diagonal, so no sign flip is needed.  Orthogonality stays at rounding
+    level only while cond(m) is well below eps**-0.5 (about 7e7), so the
+    guard refuses a block whose first Cholesky fails or whose first factor
+    is worse conditioned than _CHOLQR2_MAX_COND.
+    """
+    try:
+        r1 = np.linalg.cholesky(m.T @ m).T
+        if not np.linalg.cond(r1) <= _CHOLQR2_MAX_COND:
+            return None
+        q1 = m @ np.linalg.inv(r1)
+        r2 = np.linalg.cholesky(q1.T @ q1).T
+    except np.linalg.LinAlgError:
+        return None
+    return QrFactors(q1 @ np.linalg.inv(r2), r2 @ r1)
+
+
+def thin_qr(m):
+    """Thin QR of a tall-skinny dense matrix, with diag(r) non-negative.
+
+    Blocks with n >= 1000 rows go to CholeskyQR2 (Fukaya, Nakatsukasa,
+    Yanagisawa and Yamamoto, 2014), built from matrix products and several
+    times faster than Householder on tall-skinny blocks.  Blocks its guard
+    refuses (Cholesky breakdown or cond above 1e6, i.e. ill-conditioned and
+    rank-deficient blocks) and all blocks under 1000 rows take Householder
+    reflections, with column signs of q flipped
+    so diag(r) is non-negative, which makes the factorization
+    deterministic.  Rank deficiency is not an error here;
     use `rank_deficient_columns` on the returned r and decide at the caller.
     """
     m = _check_dense(m, "m")
     n, k = m.shape
     if not 1 <= k <= n:
         raise ValueError(f"thin_qr needs n >= k >= 1, got shape {m.shape}")
+    if n >= _CHOLQR2_MIN_ROWS:
+        factors = _cholesky_qr2(m)
+        if factors is not None:
+            return factors
     q, r = np.linalg.qr(m, mode="reduced")
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     return QrFactors(q * signs, r * signs[:, None])

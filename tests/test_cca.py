@@ -1,5 +1,8 @@
 """Tests for the exact solver, the iterative drivers, and the baselines."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -290,3 +293,59 @@ def test_budget_metering_matches_counter_delta():
     run = ic.l_cca(x, y, 4, t1=5, ling_cfg=ic.LingConfig(k_pc=5, t2=10, seed=0))
     delta = ic.sparse_work.total - before
     assert run.work == delta > 0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda x, y: ic.exact_cca(x, y, 2),
+        lambda x, y: ic.exact_cca_result(x, y, 2),
+        lambda x, y: ic.l_cca(x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=2, seed=0)),
+        lambda x, y: ic.g_cca(x, y, 2, t1=2, t2=2, seed=0),
+        lambda x, y: ic.d_cca(x, y, 2, t1=2, seed=0),
+        lambda x, y: ic.rp_cca(x, y, 2, k_rpcca=4, seed=0),
+    ],
+    ids=["exact_cca", "exact_cca_result", "l_cca", "g_cca", "d_cca", "rp_cca"],
+)
+def test_solvers_reject_non_finite_input_by_side(solve):
+    x, y = separated_instance()
+    bad = x.toarray()
+    bad[3, 1] = np.nan
+    with pytest.raises(ic.NonFiniteError, match="x holds 1 non-finite values"):
+        solve(bad, y)
+    bad = y.toarray()
+    bad[0, 0] = np.inf
+    bad[7, 2] = np.nan
+    with pytest.raises(ic.NonFiniteError, match="y holds 2 non-finite values"):
+        solve(x, bad)
+
+
+def test_concurrent_solves_report_only_their_own_work():
+    x, y = separated_instance()
+    cfg = ic.LingConfig(k_pc=5, t2=10, seed=0)
+    jobs = {
+        "l_cca": lambda: ic.l_cca(x, y, 4, t1=5, ling_cfg=cfg),
+        "g_cca": lambda: ic.g_cca(x, y, 4, t1=5, t2=10, seed=0),
+    }
+    alone = {name: job().work for name, job in jobs.items()}
+    assert alone["l_cca"] != alone["g_cca"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            barrier = threading.Barrier(len(jobs))
+            together = {}
+
+            def run(name, job):
+                barrier.wait(timeout=30)
+                together[name] = job().work
+
+            threads = [threading.Thread(target=run, args=item) for item in jobs.items()]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert together == alone
+    finally:
+        sys.setswitchinterval(interval)

@@ -153,6 +153,25 @@ def test_run_reports_malformed_input_file(tmp_path, capsys):
     assert "bad.mtx:3" in capsys.readouterr().err
 
 
+def test_run_reports_non_finite_input_file(tmp_path, capsys):
+    xp, yp = planted_mm_pair(tmp_path)
+    bad = tmp_path / "nan.mtx"
+    lines = xp.read_text().splitlines()
+    row, col, _ = lines[2].split()
+    lines[2] = f"{row} {col} nan"
+    bad.write_text("\n".join(lines) + "\n")
+    for algo in (["--algo", "lcca", "--t1", "2", "--t2", "2", "--kpc", "3"],
+                 ["--algo", "dcca", "--t1", "2"]):
+        code = cli.main([
+            "run", *algo, "--x", str(bad), "--y", str(yp),
+            "--format", "mm", "--kcca", "2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nan.mtx holds 1 non-finite values" in err
+        assert "Traceback" not in err
+
+
 def test_run_missing_out_directory_is_config_error(tmp_path):
     xp, yp = planted_mm_pair(tmp_path)
     code = cli.main([
