@@ -130,21 +130,6 @@ def _validate(config):
         raise ConfigError("--ridge applies to the exact solver (directly or via --oracle-compare)")
 
 
-def _libsvm_cols(path):
-    top = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            for item in line.split()[1:]:
-                idx_s = item.partition(":")[0]
-                try:
-                    top = max(top, int(idx_s))
-                except ValueError:
-                    continue  # read_libsvm reports malformed fields properly
-    if top == 0:
-        raise ConfigError(f"{path}: no feature indices found to infer the column count")
-    return top
-
-
 def _load_dataset(config):
     meta = {}
     if config.x is not None:
@@ -152,10 +137,9 @@ def _load_dataset(config):
             x = read_matrix_market(config.x)
             y = read_matrix_market(config.y)
         else:
-            cols = {"x": _libsvm_cols(config.x), "y": _libsvm_cols(config.y)}
-            meta["libsvm_inferred_cols"] = cols
-            x = read_libsvm(config.x, cols["x"])
-            y = read_libsvm(config.y, cols["y"])
+            x = read_libsvm(config.x)
+            y = read_libsvm(config.y)
+            meta["libsvm_inferred_cols"] = {"x": x.shape[1], "y": y.shape[1]}
         meta["source"] = "files"
     elif config.synth_spec is not None:
         spec = config.synth_spec

@@ -7,6 +7,7 @@ and a synthetic generator that plants known canonical correlations behind
 a controlled singular spectrum so tests know the right answer.
 """
 
+import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,14 +17,77 @@ from .linalg import as_sparse, thin_qr
 
 _MM_HEADER = ("%%matrixmarket", "matrix", "coordinate", "real", "general")
 
+# The readers parse a clean file in one vectorized pass and hand anything
+# else to the line scanner, which reads it or names the offending line.
+# "Clean" is a strict ASCII subset on which numpy's text parser and the
+# scanner's int()/float() agree: the bytes below, plus ':' for libsvm.
+_NUMERIC = np.zeros(256, dtype=bool)
+_NUMERIC[list(b"0123456789+-.eE \n")] = True
+_LIBSVM = _NUMERIC.copy()
+_LIBSVM[ord(":")] = True
+# Matrix Market preamble lines (header, comments, size line): printable
+# ASCII, tab and LF, so bytes and str agree on lines and whitespace.
+_PREAMBLE = np.zeros(256, dtype=bool)
+_PREAMBLE[list(b"\t\n")] = True
+_PREAMBLE[0x20:0x7F] = True
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_LIBSVM_ITEM = np.dtype([("j", np.int64), ("v", np.float64)])
 
-def read_matrix_market(path):
-    """Load a Matrix Market coordinate-format file as a sparse matrix.
 
-    Only the real general coordinate flavor is accepted.  Duplicate
-    entries are summed, per the format's convention.  Malformed content
-    raises a ValueError naming the offending line.
-    """
+def _only(table, raw):
+    return bool(table[np.frombuffer(raw, dtype=np.uint8)].all())
+
+
+def _line_count(raw):
+    """Lines str.splitlines() finds in text whose only line break is LF."""
+    return raw.count(b"\n") + (not raw.endswith(b"\n"))
+
+
+def _loadtxt(raw, dtype):
+    """Whitespace-separated records parsed by numpy, or None if it refuses."""
+    try:
+        return np.loadtxt(io.StringIO(raw.decode()), dtype=dtype, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _fast_matrix_market(raw):
+    """((n, p), rows, cols, vals) of a clean file, or None for the scanner."""
+    pos, preamble = 0, []
+    while True:  # header, comment and blank lines, then the size line
+        end = raw.find(b"\n", pos)
+        if end < 0:
+            return None
+        line = raw[pos:end]
+        pos = end + 1
+        preamble.append(line)
+        if len(preamble) > 1 and line.strip() and not line.lstrip().startswith(b"%"):
+            break
+    body = raw[pos:]
+    size = preamble[-1].split()
+    if (
+        not body.strip()
+        or not _only(_PREAMBLE, raw[:pos - 1])
+        or tuple(preamble[0].decode().lower().split()) != _MM_HEADER
+        or len(size) != 3
+        or not all(s.isdigit() for s in size)
+        or not _only(_NUMERIC, body)
+    ):
+        return None
+    n, p, nnz = (int(s) for s in size)
+    if _line_count(body) != nnz:
+        return None
+    e = _loadtxt(body, _MM_ENTRY)
+    if e is None or e.size != nnz:
+        return None
+    rows, cols = e["i"] - 1, e["j"] - 1
+    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= p:
+        return None
+    return (n, p), rows, cols, e["v"]
+
+
+def _scan_matrix_market(path):
+    """((n, p), rows, cols, vals) line by line; errors name the line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
@@ -71,7 +135,20 @@ def read_matrix_market(path):
         if not (1 <= i <= n and 1 <= j <= p):
             fail(lineno, f"index ({i}, {j}) outside 1-based bounds ({n}, {p})")
         rows[k], cols[k], vals[k] = i - 1, j - 1, v
-    return as_sparse((vals, (rows, cols)), shape=(n, p), name=str(path))
+    return (n, p), rows, cols, vals
+
+
+def read_matrix_market(path):
+    """Load a Matrix Market coordinate-format file as a sparse matrix.
+
+    Only the real general coordinate flavor is accepted.  Duplicate
+    entries are summed, per the format's convention.  Malformed content
+    raises a ValueError naming the offending line.
+    """
+    with open(path, "rb") as fh:
+        entries = _fast_matrix_market(fh.read())
+    shape, rows, cols, vals = entries or _scan_matrix_market(path)
+    return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 
 def write_matrix_market(path, a):
@@ -86,15 +163,56 @@ def write_matrix_market(path, a):
             fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
-def read_libsvm(path, n_cols):
-    """Load a libsvm-format file (label idx:val ..., 1-based indices).
+def _fast_libsvm(raw, n_cols):
+    """((n, p), rows, cols, vals) of a clean file, or None for the scanner.
 
-    Labels are discarded; each line becomes one row; an empty line is an
-    all-zero row.  Indices outside [1, n_cols] and non-numeric fields
-    raise a ValueError naming the line.
+    Each line's first field, the label, is turned into a comment and
+    every idx:val item moved onto a line of its own as "idx val", so one
+    numpy parse reads all items; the row of an item is its line number.
     """
-    if n_cols < 1:
-        raise ValueError("n_cols must be >= 1")
+    u = np.frombuffer(raw, dtype=np.uint8)
+    if not u.size or not _only(_LIBSVM, raw):
+        return None
+    sep = (u == ord(" ")) | (u == ord("\n"))
+    starts = np.flatnonzero(~sep & np.concatenate(([True], sep[:-1])))
+    line = np.searchsorted(np.flatnonzero(u == ord("\n")), starts)
+    label = np.diff(line, prepend=-1) != 0  # first field of its line
+    items = starts[~label]
+    if not items.size:
+        return None
+    text = u.copy()
+    text[u == ord(":")] = ord(" ")
+    text[starts[label]] = ord("#")
+    text[items - 1] = ord("\n")
+    e = _loadtxt(text.tobytes(), _LIBSVM_ITEM)
+    if e is None or e.size != items.size:
+        return None
+    cols = e["j"] - 1
+    if n_cols is None:
+        n_cols = int(cols.max()) + 1
+    if cols.min() < 0 or cols.max() >= n_cols:
+        return None
+    return (_line_count(raw), n_cols), line[~label], cols, e["v"]
+
+
+def _scan_libsvm_width(path):
+    """The largest integer index in any item, as the scanner's width."""
+    top = 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            for item in line.split()[1:]:
+                idx_s = item.partition(":")[0]
+                try:
+                    top = max(top, int(idx_s))
+                except ValueError:
+                    continue  # the scanner reports malformed fields properly
+    if top == 0:
+        raise ValueError(f"{path}: no feature indices found to infer the column count")
+    return top
+
+
+def _scan_libsvm(path, n_cols):
+    """((n, p), rows, cols, vals) line by line; errors name the line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
@@ -120,11 +238,28 @@ def read_libsvm(path, n_cols):
             rows.append(lineno - 1)
             cols.append(idx - 1)
             vals.append(val)
-    return as_sparse(
-        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(len(lines), n_cols),
-        name=str(path),
+    return (
+        (len(lines), n_cols),
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals),
     )
+
+
+def read_libsvm(path, n_cols=None):
+    """Load a libsvm-format file (label idx:val ..., 1-based indices).
+
+    Labels are discarded; each line becomes one row; an empty line is an
+    all-zero row.  Indices outside [1, n_cols] and non-numeric fields
+    raise a ValueError naming the line.  With n_cols None the width is
+    the largest index in the file, and a file without one is an error.
+    """
+    if n_cols is not None and n_cols < 1:
+        raise ValueError("n_cols must be >= 1")
+    with open(path, "rb") as fh:
+        entries = _fast_libsvm(fh.read(), n_cols)
+    shape, rows, cols, vals = entries or _scan_libsvm(path, n_cols or _scan_libsvm_width(path))
+    return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 
 @dataclass(frozen=True)
@@ -152,19 +287,20 @@ class TokenDatasetSpec:
             raise ValueError("drop counts must be >= 0")
 
 
-def _role_vocab(tokens, role_tokens, drop_top, limit):
-    """Column list for one side: frequency-ranked, dropped, truncated."""
-    counts = {}
-    for t in role_tokens:
-        counts[t] = counts.get(t, 0) + 1
-    first_seen = {}
-    for i, t in enumerate(tokens):
-        first_seen.setdefault(t, i)
-    ranked = sorted(first_seen, key=lambda t: (-counts.get(t, 0), first_seen[t]))
-    kept = ranked[drop_top:]
+def _role_columns(role, n_codes, skip, drop_top, limit):
+    """Column of each token code on one side (-1 when trimmed) and the width.
+
+    Codes number tokens by first appearance, so a stable sort on the
+    role count ranks by frequency with the first-appearance tie-break;
+    code `skip` (the boundary token) is never a column.
+    """
+    ranked = np.argsort(-np.bincount(role, minlength=n_codes), kind="stable")
+    kept = ranked[ranked != skip][drop_top:]
     if limit:
         kept = kept[:limit]
-    return kept
+    col = np.full(n_codes, -1, dtype=np.int64)
+    col[kept] = np.arange(kept.size)
+    return col, kept.size
 
 
 def tokens_to_indicators(spec):
@@ -174,42 +310,32 @@ def tokens_to_indicators(spec):
     of y the token after it.  A bigram is retained only when both tokens
     survive their side's vocabulary trimming.
     """
-    tokens = [t for t in spec.tokens]
-    if not tokens:
+    index = {}
+    codes = np.array([index.setdefault(t, len(index)) for t in spec.tokens], dtype=np.int64)
+    if not codes.size:
         raise ValueError("token stream is empty")
+    a, b = codes[:-1], codes[1:]
+    skip = -1
     if spec.boundary_token is not None:
-        pairs = [
-            (a, b)
-            for a, b in zip(tokens, tokens[1:])
-            if spec.boundary_token not in (a, b)
-        ]
-        tokens = [t for t in tokens if t != spec.boundary_token]
-        if not tokens:
+        skip = index.get(spec.boundary_token, -1)
+        if skip >= 0 and len(index) == 1:
             raise ValueError("token stream is empty after boundary removal")
-    else:
-        pairs = list(zip(tokens, tokens[1:]))
+        clear = (a != skip) & (b != skip)  # bigrams not touching the boundary
+        a, b = a[clear], b[clear]
 
-    x_vocab = _role_vocab(tokens, (a for a, _ in pairs), spec.x_drop_top, spec.x_vocab_limit)
-    y_vocab = _role_vocab(tokens, (b for _, b in pairs), spec.y_drop_top, spec.y_vocab_limit)
-    if not x_vocab or not y_vocab:
+    x_col, p1 = _role_columns(a, len(index), skip, spec.x_drop_top, spec.x_vocab_limit)
+    y_col, p2 = _role_columns(b, len(index), skip, spec.y_drop_top, spec.y_vocab_limit)
+    if not p1 or not p2:
         raise ValueError("empty vocabulary after drops and limits")
-    x_col = {t: j for j, t in enumerate(x_vocab)}
-    y_col = {t: j for j, t in enumerate(y_vocab)}
-
-    kept = [(a, b) for a, b in pairs if a in x_col and b in y_col]
-    if not kept:
+    xa, yb = x_col[a], y_col[b]
+    kept = (xa >= 0) & (yb >= 0)
+    n = int(np.count_nonzero(kept))
+    if not n:
         raise ValueError("no bigrams survive the vocabulary trimming")
-    n = len(kept)
     rows = np.arange(n, dtype=np.int64)
     ones = np.ones(n)
-    x = as_sparse(
-        (ones, (rows, np.array([x_col[a] for a, _ in kept], dtype=np.int64))),
-        shape=(n, len(x_vocab)),
-    )
-    y = as_sparse(
-        (ones, (rows, np.array([y_col[b] for _, b in kept], dtype=np.int64))),
-        shape=(n, len(y_vocab)),
-    )
+    x = as_sparse((ones, (rows, xa[kept])), shape=(n, p1))
+    y = as_sparse((ones, (rows, yb[kept])), shape=(n, p2))
     return x, y
 
 

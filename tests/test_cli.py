@@ -283,3 +283,65 @@ def test_compare_rejects_malformed_run_spec(tmp_path):
     assert cli.main(base + ["--run", "t1=5"]) == 2
     assert cli.main(base + ["--run", "algo=lcca,bogus=3"]) == 2
     assert cli.main(base + ["--run", "algo=nosuch"]) == 2
+
+
+# Malformed libsvm files and what `itercca run --format libsvm` printed
+# for them when the column count came from a separate pass over the file
+# ({f} is the file's path).  The single-pass reader must keep each exit
+# status and message, including which of two faults on a line wins and
+# the inferred bound in "outside 1-based bound N".
+LIBSVM_ERRORS = [
+    ("1 0:1.0\n", 2, "{f}: no feature indices found to infer the column count"),
+    ("1 0:1.0 2:1.0\n0 1:1\n", 2, "{f}:1: index 0 outside 1-based bound 2"),
+    ("1 2:1.0\n0 0:1\n", 2, "{f}:2: index 0 outside 1-based bound 2"),
+    ("1 -3:1 2:1\n", 2, "{f}:1: index -3 outside 1-based bound 2"),
+    ("1 a:1.0\n", 2, "{f}: no feature indices found to infer the column count"),
+    ("1 2:zz\n", 2, "{f}:1: non-numeric field '2:zz'"),
+    ("1 3:1\n0 2:x\n", 2, "{f}:2: non-numeric field '2:x'"),
+    ("1\n0\n", 2, "{f}: no feature indices found to infer the column count"),
+    ("", 2, "{f}: no feature indices found to infer the column count"),
+    ("\n\n", 2, "{f}: no feature indices found to infer the column count"),
+    ("1 x:1 3:2\n", 2, "{f}:1: non-numeric field 'x:1'"),
+    ("1 2 3:1.0\n", 2, "{f}:1: expected 'idx:val', got '2'"),
+    ("1 3:1:2 1:1\n", 2, "{f}:1: non-numeric field '3:1:2'"),
+    ("1 :1 2:1\n", 2, "{f}:1: non-numeric field ':1'"),
+    ("1 1.0:1 2:1\n", 2, "{f}:1: non-numeric field '1.0:1'"),
+    ("1 1:nan 2:1\n", 1, "{f} holds 1 non-finite values"),
+    (b"1 1:1 \xff\n", 2, "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+]
+
+
+def run_libsvm_pair(tmp_path, capsys, x, y):
+    code = cli.main([
+        "run", "--algo", "exact", "--x", str(x), "--y", str(y), "--format", "libsvm",
+        "--kcca", "1", "--out", str(tmp_path / "out"),
+    ])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,status,message", LIBSVM_ERRORS)
+def test_run_libsvm_error_contract(tmp_path, capsys, text, status, message):
+    good = tmp_path / "good.svm"
+    good.write_text("1 1:1.0 3:0.5\n0 2:1.0\n1 1:-1.0 2:2.0\n")
+    bad = tmp_path / "bad.svm"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    expected = (status, "error: " + message.format(f=bad) + "\n")
+    assert run_libsvm_pair(tmp_path, capsys, bad, good) == expected
+    assert run_libsvm_pair(tmp_path, capsys, good, bad) == expected
+
+
+@pytest.mark.parametrize("text,shape", [
+    ("1 +2:1 3:1\n", (1, 3)),
+    ("1 1_0:1\n", (1, 10)),
+    ("1 1:1\r\n0 2:2\r\n", (2, 2)),
+])
+def test_run_libsvm_reads_signed_underscored_and_crlf_files(tmp_path, capsys, text, shape):
+    good = tmp_path / "good.svm"
+    good.write_text("1 1:1.0 3:0.5\n0 2:1.0\n1 1:-1.0 2:2.0\n")
+    odd = tmp_path / "odd.svm"
+    odd.write_bytes(text.encode())
+    # the row mismatch surfaces only after both files were read
+    assert run_libsvm_pair(tmp_path, capsys, odd, good) == (
+        1, f"error: row mismatch: x {shape} vs y (3, 3)\n")
+    assert run_libsvm_pair(tmp_path, capsys, good, odd) == (
+        1, f"error: row mismatch: x (3, 3) vs y {shape}\n")
