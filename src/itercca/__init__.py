@@ -9,9 +9,12 @@ import os as _os
 
 # Honor ITERCCA_THREADS before numpy (and its BLAS) is first imported
 # anywhere in the package; explicit user settings of the BLAS variables
-# always win over this default.
+# always win over this default.  The same count sizes the row-block pool
+# of the sparse products (see linalg).
 _threads = _os.environ.get("ITERCCA_THREADS")
 if _threads:
+    if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
+        raise ValueError(f"ITERCCA_THREADS must be a positive integer, got {_threads!r}")
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
@@ -19,6 +22,9 @@ if _threads:
         "NUMEXPR_NUM_THREADS",
     ):
         _os.environ.setdefault(_var, _threads)
+    # Idle OpenBLAS workers sleep almost at once instead of spinning on the
+    # cores the sparse row blocks need; OpenBLAS reads this when it loads.
+    _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .cca import (
     CcaResult,

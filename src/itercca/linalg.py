@@ -2,20 +2,35 @@
 
 Sparse matrices are canonical CSR (`scipy.sparse.csr_array`) with sorted,
 duplicate-free column indices and no explicitly stored zeros; `as_sparse`
-produces that form and freezes the underlying buffers.  Dense matrices are
-plain float64 ndarrays and are tall-skinny everywhere in this package.
+produces that form and freezes the underlying buffers.  It validates each
+input once, where it enters: a matrix that `as_sparse` itself returned is
+handed back as is, without a copy or a check, so the repeated calls at
+every solver entry point cost nothing.  Dense matrices are plain float64
+ndarrays and are tall-skinny everywhere in this package.
 
 The two sparse-dense products funnel through a per-thread work counter
 (`sparse_work`) that tallies nonzero multiplies; algorithm drivers snapshot
 it to report machine-independent compute budgets, so solves running in
 separate threads each see only their own products.
+
+With `ITERCCA_THREADS` above 1, a product of a CSR matrix whose nnz times
+the dense width reaches 2,000,000 is split into that many row blocks of
+about equal nnz (capped at the usable cores); the calling thread runs the
+first block and a shared pool the rest.  `a @ b` stays bitwise equal to
+the serial product, since each block fills its own rows.  `a.T @ b` adds
+per-block partials in block order, so it is byte-identical across reruns
+at a fixed thread count but differs from other thread counts at rounding
+level.
 """
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 # Relative threshold on |r_ii| the whole package uses for numerical rank
 # decisions in thin QR factors.
@@ -26,6 +41,22 @@ RANK_RTOL = 1e-12
 # while the first Cholesky factor is conditioned within _CHOLQR2_MAX_COND.
 _CHOLQR2_MIN_ROWS = 1000
 _CHOLQR2_MAX_COND = 1e6
+
+# Products with nnz * k below this stay serial: waking pool threads costs
+# more than a product this small.
+_ROW_BLOCK_MIN_WORK = 2_000_000
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+# The package's __init__ has already checked that ITERCCA_THREADS, when
+# set, is a positive integer.
+_ROW_BLOCKS = min(int(os.environ.get("ITERCCA_THREADS") or 1), _usable_cores())
 
 
 class _SparseWork(threading.local):
@@ -53,6 +84,23 @@ class NonFiniteError(ValueError):
     """A matrix handed to the package holds NaN or infinite values."""
 
 
+def _is_own_output(a, shape):
+    """True when `a` is an as_sparse result whose buffers are still its own.
+
+    The marker holds the very buffers as_sparse froze; reassigning a
+    buffer or making one writeable again sends `a` back through the checks.
+    """
+    frozen = getattr(a, "_itercca_canonical", None)
+    return (
+        frozen is not None
+        and (shape is None or np.array_equal(shape, a.shape))
+        and all(
+            mine is theirs and not theirs.flags.writeable
+            for mine, theirs in zip(frozen, (a.data, a.indices, a.indptr))
+        )
+    )
+
+
 def as_sparse(a, shape=None, name="matrix"):
     """Return `a` as a canonical, frozen CSR matrix.
 
@@ -61,7 +109,11 @@ def as_sparse(a, shape=None, name="matrix"):
     indices sorted, explicit zeros dropped, and the result's buffers are
     marked read-only so shared matrices cannot be mutated downstream.
     Non-finite values raise `NonFiniteError`, with `name` naming the input.
+    A matrix this function returned earlier is returned unchanged, with
+    no copy and no check; every other input is copied and checked.
     """
+    if _is_own_output(a, shape):
+        return a
     m = sparse.csr_array(a, shape=shape, dtype=np.float64, copy=True)
     m.sum_duplicates()
     m.sort_indices()
@@ -74,6 +126,7 @@ def as_sparse(a, shape=None, name="matrix"):
         )
     for buf in (m.data, m.indices, m.indptr):
         buf.flags.writeable = False
+    m._itercca_canonical = (m.data, m.indices, m.indptr)
     return m
 
 
@@ -84,6 +137,62 @@ def _check_dense(b, name="b"):
     return b
 
 
+_pool = None  # (pid, executor), created on the first parallel product
+_pool_lock = threading.Lock()
+
+
+def _row_pool():
+    """The executor, shared by all callers, that runs all but the first row block.
+
+    Recreated in a forked child, whose copy has no live threads.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            executor = ThreadPoolExecutor(_ROW_BLOCKS - 1, thread_name_prefix="itercca-rows")
+            _pool = (os.getpid(), executor)
+        return _pool[1]
+
+
+def _row_ranges(a, k):
+    """Row ranges of about equal nnz splitting a product of `a` with k columns.
+
+    None when the product runs serially: one block configured, a product
+    too small to repay the thread hand-off, a matrix other than float64
+    CSR, or only one non-empty range.
+    """
+    blocks = _ROW_BLOCKS
+    if (
+        blocks < 2
+        or a.nnz * k < _ROW_BLOCK_MIN_WORK
+        or a.format != "csr"
+        or a.dtype != np.float64
+    ):
+        return None
+    # Integer targets in indptr's dtype, so searchsorted casts nothing.
+    targets = (a.nnz * np.arange(1, blocks, dtype=np.int64) // blocks).astype(a.indptr.dtype)
+    cuts = [0, *np.searchsorted(a.indptr, targets).tolist(), a.shape[0]]
+    ranges = [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0]
+    return ranges if len(ranges) > 1 else None
+
+
+def _map_blocks(fn, ranges):
+    """[fn(r0, r1) for r0, r1 in ranges]; the caller runs the first, the pool the rest."""
+    pool = _row_pool()
+    pending = [pool.submit(fn, *rows) for rows in ranges[1:]]
+    try:
+        first = fn(*ranges[0])
+    finally:
+        wait(pending)  # no block outlives the call, even when the first raises
+    return [first] + [f.result() for f in pending]
+
+
+# The row blocks call the kernels scipy's own `@` runs on CSR and CSC
+# operands, with indptr[r0:r1 + 1] as the block's pointer array: it indexes
+# the full data and indices buffers, so a block is a view with no copy.
+# Both kernels add into a zeroed output.
+
+
 def sparse_dense_mul(a, b):
     """Product a @ b of a sparse n-by-p matrix with a dense p-by-k matrix."""
     b = _check_dense(b)
@@ -91,8 +200,22 @@ def sparse_dense_mul(a, b):
         raise ValueError(
             f"shape mismatch: sparse {a.shape} @ dense {b.shape}"
         )
-    sparse_work.add(a.nnz * b.shape[1])
-    return a @ b
+    n, p = a.shape
+    k = b.shape[1]
+    sparse_work.add(a.nnz * k)
+    ranges = _row_ranges(a, k)
+    if ranges is None:
+        return a @ b
+    b = np.ascontiguousarray(b).reshape(-1)
+    out = np.zeros((n, k))
+
+    def fill(r0, r1):
+        _sparsetools.csr_matvecs(
+            r1 - r0, p, k, a.indptr[r0 : r1 + 1], a.indices, a.data, b, out[r0:r1].reshape(-1)
+        )
+
+    _map_blocks(fill, ranges)
+    return out
 
 
 def sparse_transpose_dense_mul(a, b):
@@ -105,9 +228,28 @@ def sparse_transpose_dense_mul(a, b):
         raise ValueError(
             f"shape mismatch: sparse.T {a.shape} @ dense {b.shape}"
         )
-    sparse_work.add(a.nnz * b.shape[1])
-    # .T on CSR is a CSC view; the product streams over stored entries.
-    return a.T @ b
+    p = a.shape[1]
+    k = b.shape[1]
+    sparse_work.add(a.nnz * k)
+    ranges = _row_ranges(a, k)
+    if ranges is None:
+        # .T on CSR is a CSC view; the product streams over stored entries.
+        return a.T @ b
+    b = np.ascontiguousarray(b)
+
+    def partial(r0, r1):
+        part = np.zeros((p, k))
+        _sparsetools.csc_matvecs(
+            p, r1 - r0, k, a.indptr[r0 : r1 + 1], a.indices, a.data,
+            b[r0:r1].reshape(-1), part.reshape(-1),
+        )
+        return part
+
+    partials = _map_blocks(partial, ranges)
+    out = partials[0]
+    for part in partials[1:]:
+        out += part
+    return out
 
 
 class QrFactors(NamedTuple):

@@ -100,8 +100,9 @@ def gd_least_squares(x, y_r, t2):
         g_sq = np.einsum("ij,ij->j", g, g)
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
-        fitted -= xg * step
-        residual -= xg * step
+        delta = xg * step
+        fitted -= delta
+        residual -= delta
     return fitted[:, 0] if squeeze else fitted
 
 
@@ -117,10 +118,8 @@ def ling_solve(solver, y):
     if x.shape[0] != (y.shape[0] if y.ndim else 0):
         raise ValueError(f"row mismatch: x {x.shape} vs rhs {y.shape}")
 
-    if solver.basis is not None and solver.basis.u1.shape[1] > 0:
-        u1 = solver.basis.u1
-        y1 = u1 @ (u1.T @ y)
-    else:
-        y1 = np.zeros_like(y, dtype=np.float64)
-    fit = gd_least_squares(x, y - y1, solver.config.t2)
-    return y1 + fit
+    if solver.basis is None or solver.basis.u1.shape[1] == 0:
+        return gd_least_squares(x, y, solver.config.t2)
+    u1 = solver.basis.u1
+    y1 = u1 @ (u1.T @ y)
+    return y1 + gd_least_squares(x, y - y1, solver.config.t2)

@@ -1,6 +1,10 @@
 """Kernel-level tests: sparse products, QR, Gram helpers, work counter."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +226,219 @@ def test_orthonormalize_iterate_restarts_collapsed_tall_iterate():
     assert restarts == [3]
     assert q.shape == (3000, 8)
     assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-12
+
+
+def fixed_row_nnz(n, p, per_row, seed):
+    """Canonical CSR with exactly per_row distinct columns in each row."""
+    rng = rng_for(seed)
+    cols = np.argsort(rng.random((n, p)), axis=1)[:, :per_row]
+    rows = np.repeat(np.arange(n), per_row)
+    return ic.as_sparse((rng.standard_normal(n * per_row), (rows, cols.ravel())), shape=(n, p))
+
+
+@pytest.fixture
+def spy_blocks(monkeypatch):
+    """Record the row ranges of every product that took the parallel path."""
+    seen = []
+    original = ic.linalg._map_blocks
+
+    def spy(fn, ranges):
+        seen.append(ranges)
+        return original(fn, ranges)
+
+    monkeypatch.setattr(ic.linalg, "_map_blocks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    # 1,000 heavy rows of 100 entries over 5,000 light rows of 4: nnz 120,000
+    a = ic.as_sparse(sparse.vstack([fixed_row_nnz(1000, 300, 100, seed=30),
+                                    fixed_row_nnz(5000, 300, 4, seed=29)]))
+    b = rng_for(31).standard_normal((300, 20))
+    c = rng_for(32).standard_normal((6000, 20))
+    out = ic.sparse_dense_mul(a, b)
+    assert out.tobytes() == (a @ b).tobytes()
+    t = ic.sparse_transpose_dense_mul(a, c)
+    ref = a.T @ c
+    assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert all(ic.sparse_transpose_dense_mul(a, c).tobytes() == t.tobytes() for _ in range(3))
+    # F-ordered operands give the same bytes as C-ordered ones
+    assert ic.sparse_dense_mul(a, np.asfortranarray(b)).tobytes() == out.tobytes()
+    assert ic.sparse_transpose_dense_mul(a, np.asfortranarray(c)).tobytes() == t.tobytes()
+    assert len(spy_blocks) == 7
+    ranges = spy_blocks[0]
+    assert len(ranges) == threads
+    assert ranges[0][0] == 0 and ranges[-1][1] == a.shape[0]
+    assert all(r1 == s0 for (_, r1), (s0, _) in zip(ranges, ranges[1:]))
+    # nnz-balanced, not row-balanced: each block is within one heavy row of its share
+    block_nnz = [a.indptr[r1] - a.indptr[r0] for r0, r1 in ranges]
+    assert all(abs(m - a.nnz / threads) <= 100 for m in block_nnz)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_row_blocked_edge_cases(monkeypatch, spy_blocks, threads):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 0)
+    rng = rng_for(33)
+    dense = rng.standard_normal((50, 12)) * (rng.random((50, 12)) < 0.3)
+    dense[10:40] = 0.0  # a run of empty rows across the cuts
+    cases = [
+        ic.as_sparse(dense),
+        ic.as_sparse(np.zeros((7, 4))),  # nnz == 0
+        ic.as_sparse(rng.standard_normal((2, 5))),  # fewer rows than threads
+        ic.as_sparse(dense[:1]),  # a single row
+    ]
+    for a in cases:
+        for k in (1, 4):
+            b = rng.standard_normal((a.shape[1], k))
+            c = rng.standard_normal((a.shape[0], k))
+            out = ic.sparse_dense_mul(a, b)
+            assert out.shape == (a.shape[0], k)
+            assert out.tobytes() == (a @ b).tobytes()
+            t = ic.sparse_transpose_dense_mul(a, c)
+            ref = a.T @ c
+            assert t.shape == (a.shape[1], k)
+            np.testing.assert_allclose(t, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref), initial=0.0))
+    # the parallel path ran on the cases that have two non-empty ranges
+    assert spy_blocks and all(len(r) > 1 for r in spy_blocks)
+    assert all(r0 < r1 for ranges in spy_blocks for r0, r1 in ranges)
+
+
+def test_row_blocks_start_at_the_work_threshold(monkeypatch, spy_blocks):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+    k = 5
+    nnz = ic.linalg._ROW_BLOCK_MIN_WORK // k
+    rows = np.arange(nnz)
+    at = ic.as_sparse((rng_for(34).standard_normal(nnz), (rows, rows % 10)), shape=(nnz, 10))
+    below = ic.as_sparse(at[: nnz - 1])
+    assert at.nnz * k == ic.linalg._ROW_BLOCK_MIN_WORK and below.nnz == nnz - 1
+    b = rng_for(35).standard_normal((10, k))
+    assert ic.sparse_dense_mul(below, b).tobytes() == (below @ b).tobytes()
+    assert spy_blocks == []
+    assert ic.sparse_dense_mul(at, b).tobytes() == (at @ b).tobytes()
+    assert len(spy_blocks) == 1
+
+
+def test_row_blocks_leave_other_formats_and_dtypes_serial(monkeypatch, spy_blocks):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 0)
+    a = random_sparse(30, 8, 0.5, seed=36)
+    b = rng_for(37).standard_normal((8, 3))
+    for other in (sparse.csc_array(a), sparse.csr_array(a, dtype=np.float32)):
+        assert ic.sparse_dense_mul(other, b).tobytes() == (other @ b).tobytes()
+    assert spy_blocks == []
+
+
+def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_blocks):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+    monkeypatch.setattr(ic.linalg, "_pool", None)  # callers race to create it
+    a = fixed_row_nnz(6000, 300, 20, seed=38)
+    b = rng_for(39).standard_normal((300, 20))
+    c = rng_for(40).standard_normal((6000, 20))
+    want_out, want_t = a @ b, ic.sparse_transpose_dense_mul(a, c)
+    seen, bad = [], []
+
+    def caller(reps):
+        before = ic.sparse_work.total
+        for _ in range(reps):
+            if ic.sparse_dense_mul(a, b).tobytes() != want_out.tobytes():
+                bad.append("a @ b")
+            if ic.sparse_transpose_dense_mul(a, c).tobytes() != want_t.tobytes():
+                bad.append("a.T @ c")
+        seen.append((reps, ic.sparse_work.total - before))
+
+    threads = [threading.Thread(target=caller, args=(reps,)) for reps in (3, 4, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+    assert sorted(seen) == [(reps, reps * 2 * a.nnz * 20) for reps in (3, 4, 5)]
+    assert len(spy_blocks) == 1 + 2 * (3 + 4 + 5)
+
+
+def test_as_sparse_returns_its_own_output_unchanged():
+    m = ic.as_sparse(random_sparse(20, 6, 0.4, seed=41).toarray())
+    assert ic.as_sparse(m) is m
+    assert ic.as_sparse(m, shape=m.shape, name="x") is m
+    assert ic.as_sparse(ic.as_sparse(m)) is ic.as_sparse(m)
+
+
+def test_as_sparse_still_copies_and_checks_foreign_canonical_csr():
+    foreign = sparse.csr_array(np.eye(3))
+    assert foreign.has_canonical_format
+    m = ic.as_sparse(foreign)
+    assert m is not foreign and not np.shares_memory(m.data, foreign.data)
+    assert not m.data.flags.writeable
+    bad = sparse.csr_array(np.diag([1.0, np.nan, 1.0]))
+    with pytest.raises(ic.NonFiniteError, match="y holds 1 non-finite"):
+        ic.as_sparse(bad, name="y")
+
+
+def test_as_sparse_rechecks_a_marked_matrix_given_another_shape_or_tampered():
+    m = ic.as_sparse(np.eye(3))
+    with pytest.raises(ValueError):
+        ic.as_sparse(m, shape=(5, 5))
+    m.data.flags.writeable = True
+    again = ic.as_sparse(m)
+    assert again is not m and not np.shares_memory(again.data, m.data)
+    swapped = ic.as_sparse(np.eye(3))
+    swapped.data = np.array([1.0, np.inf, 1.0])
+    with pytest.raises(ic.NonFiniteError):
+        ic.as_sparse(swapped)
+
+
+def test_l_cca_on_canonical_inputs_makes_no_copies(monkeypatch):
+    class CountingSparse:
+        """scipy.sparse with every csr_array construction counted."""
+
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(sparse, name)
+
+        def csr_array(self, *args, **kwargs):
+            CountingSparse.calls += 1
+            return sparse.csr_array(*args, **kwargs)
+
+    spec = ic.SynthSpec(n=400, p1=30, p2=25, k_shared=3, planted_corrs=(0.9, 0.8, 0.7),
+                        spectrum_decay=0.5, density=0.3, seed=42)
+    x, y, _ = ic.synth_correlated(spec)
+    expected = ic.l_cca(x, y, 3, 3, ic.LingConfig(k_pc=5, t2=2, seed=1))
+    monkeypatch.setattr(ic.linalg, "sparse", CountingSparse())
+    ic.as_sparse(x.toarray())
+    assert CountingSparse.calls == 1  # the wrapper sees as_sparse's copies
+    got = ic.l_cca(x, y, 3, 3, ic.LingConfig(k_pc=5, t2=2, seed=1))
+    assert CountingSparse.calls == 1
+    assert got.x_basis.tobytes() == expected.x_basis.tobytes()
+    assert got.correlations.tobytes() == expected.correlations.tobytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "2.5", "two", " 2", "²"])
+def test_import_rejects_thread_count_that_is_not_a_positive_integer(value):
+    src = str(Path(ic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "ITERCCA_THREADS": value}
+    done = subprocess.run([sys.executable, "-c", "import itercca"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "ValueError: ITERCCA_THREADS must be a positive integer" in done.stderr
+
+
+def test_import_sizes_row_blocks_and_blas_timeout_from_thread_count():
+    src = str(Path(ic.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env.update(PYTHONPATH=src, ITERCCA_THREADS="2")
+    code = ("import os, itercca; "
+            "print(itercca.linalg._ROW_BLOCKS, os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert done.stdout.split() == [str(min(2, cores)), "4"]

@@ -173,3 +173,30 @@ def test_solve_is_nearly_idempotent():
     solver_err = np.linalg.norm(once - exact)
     assert np.linalg.norm(twice - once) <= 2.0 * solver_err + 1e-12
     assert np.linalg.norm(twice - exact) <= 2.0 * solver_err + 1e-12
+
+
+def reference_ling_solve(x, basis, t2, y):
+    """The solve written out step by step: a zero y1 when there is no basis."""
+    y = np.asarray(y, dtype=np.float64)
+    y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
+    rhs = (y - y1).reshape(len(y), -1)
+    fitted = np.zeros_like(rhs)
+    residual = -rhs.copy()
+    for _ in range(t2):
+        g = x.T @ residual
+        xg = x @ g
+        g_sq = np.einsum("ij,ij->j", g, g)
+        xg_sq = np.einsum("ij,ij->j", xg, xg)
+        step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
+        fitted -= xg * step
+        residual -= xg * step
+    return y1 + fitted.reshape(y.shape)
+
+
+@pytest.mark.parametrize("k_pc", [0, 4])
+def test_solve_matches_step_by_step_reference_bitwise(k_pc):
+    x = cliff_sparse(7)
+    solver = ic.build_solver(x, ic.LingConfig(k_pc=k_pc, t2=6, seed=3))
+    for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal(60)):
+        got = ic.ling_solve(solver, y)
+        assert np.array_equal(got, reference_ling_solve(x, solver.basis, 6, y))
