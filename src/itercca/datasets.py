@@ -155,12 +155,15 @@ def write_matrix_market(path, a):
     """Write a sparse matrix in Matrix Market coordinate format."""
     a = as_sparse(a)
     coo = a.tocoo()
+    # float repr round-trips the exact binary value
+    body = "".join([
+        f"{i + 1} {j + 1} {v!r}\n"
+        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    ])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            # float repr round-trips the exact binary value
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        fh.write(body)
 
 
 def _fast_libsvm(raw, n_cols):

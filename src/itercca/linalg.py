@@ -157,23 +157,21 @@ def _row_pool():
 def _row_ranges(a, k):
     """Row ranges of about equal nnz splitting a product of `a` with k columns.
 
-    None when the product runs serially: one block configured, a product
-    too small to repay the thread hand-off, a matrix other than float64
-    CSR, or only one non-empty range.
+    One range (0, n) when the product runs serially: one block configured,
+    a product too small to repay the thread hand-off, or only one
+    non-empty range.  None when `a` is not float64 CSR, which the block
+    kernels do not take.
     """
-    blocks = _ROW_BLOCKS
-    if (
-        blocks < 2
-        or a.nnz * k < _ROW_BLOCK_MIN_WORK
-        or a.format != "csr"
-        or a.dtype != np.float64
-    ):
+    if a.format != "csr" or a.dtype != np.float64:
         return None
+    blocks = _ROW_BLOCKS
+    if blocks < 2 or a.nnz * k < _ROW_BLOCK_MIN_WORK:
+        return [(0, a.shape[0])]
     # Integer targets in indptr's dtype, so searchsorted casts nothing.
     targets = (a.nnz * np.arange(1, blocks, dtype=np.int64) // blocks).astype(a.indptr.dtype)
     cuts = [0, *np.searchsorted(a.indptr, targets).tolist(), a.shape[0]]
     ranges = [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0]
-    return ranges if len(ranges) > 1 else None
+    return ranges if len(ranges) > 1 else [(0, a.shape[0])]
 
 
 def _map_blocks(fn, ranges):
@@ -193,8 +191,13 @@ def _map_blocks(fn, ranges):
 # Both kernels add into a zeroed output.
 
 
-def sparse_dense_mul(a, b):
-    """Product a @ b of a sparse n-by-p matrix with a dense p-by-k matrix."""
+def sparse_dense_mul(a, b, out=None):
+    """Product a @ b of a sparse n-by-p matrix with a dense p-by-k matrix.
+
+    With `out`, a C-contiguous float64 n-by-k array, the product is
+    written into `out` and `out` is returned, bitwise equal to the product
+    made without it.
+    """
     b = _check_dense(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(
@@ -202,19 +205,35 @@ def sparse_dense_mul(a, b):
         )
     n, p = a.shape
     k = b.shape[1]
+    if out is not None and (
+        out.shape != (n, k) or out.dtype != np.float64 or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {(n, k)}, "
+            f"got {out.dtype} {out.shape}"
+        )
     sparse_work.add(a.nnz * k)
     ranges = _row_ranges(a, k)
-    if ranges is None:
+    if out is None and (ranges is None or len(ranges) == 1):
         return a @ b
+    if ranges is None:  # a format or dtype the block kernel does not take
+        out[...] = a @ b
+        return out
     b = np.ascontiguousarray(b).reshape(-1)
-    out = np.zeros((n, k))
+    if out is None:
+        out = np.zeros((n, k))
+    else:
+        out.fill(0.0)
 
     def fill(r0, r1):
         _sparsetools.csr_matvecs(
             r1 - r0, p, k, a.indptr[r0 : r1 + 1], a.indices, a.data, b, out[r0:r1].reshape(-1)
         )
 
-    _map_blocks(fill, ranges)
+    if len(ranges) == 1:
+        fill(*ranges[0])
+    else:
+        _map_blocks(fill, ranges)
     return out
 
 
@@ -232,7 +251,7 @@ def sparse_transpose_dense_mul(a, b):
     k = b.shape[1]
     sparse_work.add(a.nnz * k)
     ranges = _row_ranges(a, k)
-    if ranges is None:
+    if ranges is None or len(ranges) == 1:
         # .T on CSR is a CSC view; the product streams over stored entries.
         return a.T @ b
     b = np.ascontiguousarray(b)
@@ -257,25 +276,38 @@ class QrFactors(NamedTuple):
     r: np.ndarray
 
 
+def _cholesky_pass(m):
+    """QrFactors(m inv(r), r) with r = cholesky(m.T m).T, or None when refused.
+
+    The guard refuses m when Cholesky breaks down or r is worse
+    conditioned than _CHOLQR2_MAX_COND.  Cholesky factors have a positive
+    diagonal, so no sign flip is needed.  q = m inv(r) is orthonormal only
+    to about eps * cond(m)**2: one pass keeps a block well conditioned,
+    a second pass on q makes it orthonormal to rounding level.
+    """
+    try:
+        r = np.linalg.cholesky(m.T @ m).T
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.cond(r) <= _CHOLQR2_MAX_COND:
+        return None
+    return QrFactors(m @ np.linalg.inv(r), r)
+
+
 def _cholesky_qr2(m):
     """CholeskyQR2 factors of m, or None when the guard refuses the block.
 
-    Each pass is r = cholesky(m.T m).T, q = m inv(r); the second pass runs
-    on the first q, and r = r2 r1.  Cholesky factors have a positive
-    diagonal, so no sign flip is needed.  Orthogonality stays at rounding
-    level only while cond(m) is well below eps**-0.5 (about 7e7), so the
-    guard refuses a block whose first Cholesky fails or whose first factor
-    is worse conditioned than _CHOLQR2_MAX_COND.
+    Two Cholesky passes, the second on the first q, with r = r2 r1.
+    Orthogonality stays at rounding level only while cond(m) is well
+    below eps**-0.5 (about 7e7), which the guard on the first pass keeps.
     """
-    try:
-        r1 = np.linalg.cholesky(m.T @ m).T
-        if not np.linalg.cond(r1) <= _CHOLQR2_MAX_COND:
-            return None
-        q1 = m @ np.linalg.inv(r1)
-        r2 = np.linalg.cholesky(q1.T @ q1).T
-    except np.linalg.LinAlgError:
+    first = _cholesky_pass(m)
+    if first is None:
         return None
-    return QrFactors(q1 @ np.linalg.inv(r2), r2 @ r1)
+    second = _cholesky_pass(first.q)
+    if second is None:
+        return None
+    return QrFactors(second.q, second.r @ first.r)
 
 
 def thin_qr(m):
@@ -302,6 +334,22 @@ def thin_qr(m):
     q, r = np.linalg.qr(m, mode="reduced")
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     return QrFactors(q * signs, r * signs[:, None])
+
+
+def well_conditioned_basis(m):
+    """A basis of range(m) with condition number near 1, cheaper than thin_qr.
+
+    For blocks of at least 1000 rows this is one guarded Cholesky pass,
+    the first half of CholeskyQR2: orthonormal to about eps * cond(m)**2,
+    enough to keep power iterates from collapsing onto their top
+    direction.  Smaller blocks, and blocks the guard refuses, get
+    thin_qr(m).q.
+    """
+    if m.shape[0] >= _CHOLQR2_MIN_ROWS:
+        factors = _cholesky_pass(m)
+        if factors is not None:
+            return factors.q
+    return thin_qr(m).q
 
 
 def rank_deficient_columns(r, rtol=RANK_RTOL):

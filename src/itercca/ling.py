@@ -92,17 +92,19 @@ def gd_least_squares(x, y_r, t2):
     if x.shape[0] != y_r.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs rhs {y_r.shape}")
 
+    # One set of n-by-k buffers serves every step.
     fitted = np.zeros_like(y_r)
-    residual = -y_r.copy()
+    residual = -y_r
+    xg = np.empty(y_r.shape)
     for _ in range(t2):
         g = sparse_transpose_dense_mul(x, residual)
-        xg = sparse_dense_mul(x, g)
+        sparse_dense_mul(x, g, out=xg)
         g_sq = np.einsum("ij,ij->j", g, g)
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
-        delta = xg * step
-        fitted -= delta
-        residual -= delta
+        np.multiply(xg, step, out=xg)
+        fitted -= xg
+        residual -= xg
     return fitted[:, 0] if squeeze else fitted
 
 
@@ -122,4 +124,6 @@ def ling_solve(solver, y):
         return gd_least_squares(x, y, solver.config.t2)
     u1 = solver.basis.u1
     y1 = u1 @ (u1.T @ y)
-    return y1 + gd_least_squares(x, y - y1, solver.config.t2)
+    out = gd_least_squares(x, y - y1, solver.config.t2)
+    out += y1
+    return out

@@ -1,9 +1,10 @@
 """Randomized computation of top left singular subspaces of sparse matrices.
 
 Range finder with a Gaussian test matrix, power iterations that
-re-orthonormalize after every sparse product (the bare power scheme loses
-all but the top direction to exponent collapse), and a final small
-eigendecomposition of the projected Gram to order and truncate the basis.
+normalize every intermediate iterate with one guarded Cholesky pass (the
+bare power scheme loses all but the top direction to exponent collapse),
+a full thin QR of the final iterate, and a small eigendecomposition of the
+projected Gram to order and truncate the basis.
 
 Randomness comes from numpy's PCG64 bit generator seeded directly with the
 integer `seed`, with standard-normal draws; identical inputs and seed give
@@ -14,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_sparse, sparse_dense_mul, sparse_transpose_dense_mul, thin_qr
+from .linalg import (
+    as_sparse,
+    sparse_dense_mul,
+    sparse_transpose_dense_mul,
+    thin_qr,
+    well_conditioned_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,9 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     k : int
         Number of basis columns requested, 1 <= k <= min(n, p).
     power_iters : int
-        Power iterations a(a.T .) applied after the initial sketch; each
-        application is followed by a thin QR.
+        Power iterations a(a.T .) applied after the initial sketch.  Each
+        intermediate iterate is kept well conditioned by
+        `well_conditioned_basis`; the final one gets a full thin QR.
     oversample : int
         Extra sketch columns beyond k; the basis is truncated back to k.
     seed : int
@@ -62,10 +70,11 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     omega = rng.standard_normal((p, m))
 
-    q = thin_qr(sparse_dense_mul(a, omega)).q
+    q = sparse_dense_mul(a, omega)
     for _ in range(power_iters):
-        w = thin_qr(sparse_transpose_dense_mul(a, q)).q
-        q = thin_qr(sparse_dense_mul(a, w)).q
+        w = well_conditioned_basis(sparse_transpose_dense_mul(a, well_conditioned_basis(q)))
+        q = sparse_dense_mul(a, w)
+    q = thin_qr(q).q
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the
     # sketch by singular value estimate and reveals the numerical rank.

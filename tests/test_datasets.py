@@ -45,6 +45,29 @@ def test_matrix_market_round_trip(tmp_path):
     np.testing.assert_allclose(back.toarray(), original.toarray(), atol=0.0)
 
 
+def per_entry_matrix_market(path, a):
+    """The Matrix Market writer as it was, one formatted write per entry."""
+    a = ic.as_sparse(a)
+    coo = a.tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
+        for i, j, v in zip(coo.row, coo.col, coo.data):
+            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+
+
+def test_matrix_market_writer_bytes_match_per_entry_reference(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(1))
+    dense = rng.standard_normal((300, 40)) * (rng.random((300, 40)) < 0.2)
+    dense[0, :3] = [1e-300, -2.5e300, 1.0 / 3.0]
+    dense[5] = 0.0  # an empty row
+    for name, a in (("mixed", dense), ("empty", np.zeros((4, 3)))):
+        got, want = tmp_path / f"{name}.mtx", tmp_path / f"{name}-ref.mtx"
+        ic.write_matrix_market(got, a)
+        per_entry_matrix_market(want, a)
+        assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -365,6 +365,30 @@ def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_bloc
     assert len(spy_blocks) == 1 + 2 * (3 + 4 + 5)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sparse_dense_mul_into_out_is_bitwise_the_call_without(monkeypatch, threads):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    skewed = ic.as_sparse(sparse.vstack([fixed_row_nnz(1000, 300, 100, seed=30),
+                                         fixed_row_nnz(5000, 300, 4, seed=29)]))
+    small = random_sparse(30, 8, 0.5, seed=36)
+    # k = 20 on the skewed matrix crosses the row-block threshold, k = 1 does not
+    for a in (skewed, small, sparse.csc_array(small)):
+        for k in (1, 20):
+            b = rng_for(42).standard_normal((a.shape[1], k))
+            out = np.full((a.shape[0], k), np.nan)  # stale contents are overwritten
+            assert ic.sparse_dense_mul(a, b, out=out) is out
+            assert out.tobytes() == ic.sparse_dense_mul(a, b).tobytes()
+
+
+def test_sparse_dense_mul_rejects_out_of_wrong_shape_dtype_or_layout():
+    a = random_sparse(6, 4, 0.5, seed=43)
+    b = np.ones((4, 3))
+    for bad in (np.empty((6, 2)), np.empty((6, 3), dtype=np.float32),
+                np.empty((6, 3), order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            ic.sparse_dense_mul(a, b, out=bad)
+
+
 def test_as_sparse_returns_its_own_output_unchanged():
     m = ic.as_sparse(random_sparse(20, 6, 0.4, seed=41).toarray())
     assert ic.as_sparse(m) is m

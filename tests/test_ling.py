@@ -4,6 +4,8 @@ Expected values come from dense QR projections and dense SVD spectra,
 computed with scipy directly in the tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -164,15 +166,26 @@ def test_deflation_no_worse_than_plain_gd_on_decaying_spectrum():
 
 
 def test_solve_is_nearly_idempotent():
-    x = controlled_spectrum(60, 30, RATE_SPECTRUM, seed=0)
+    # once lies in range(x), so the second solve's descent starts from the
+    # deflated part of once and, like any steepest descent with exact line
+    # search, contracts its fitted-value error by the deflated rate r per step
+    lam = RATE_SPECTRUM
+    r = (lam[5] ** 2 - lam[-1] ** 2) / (lam[5] ** 2 + lam[-1] ** 2)
+    t2 = 30
     y = rng_for(100).standard_normal((60, 3))
-    exact = dense_projection(x, y)
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=5, t2=30, rsvd_power_iters=30, seed=9))
-    once = ic.ling_solve(solver, y)
-    twice = ic.ling_solve(solver, once)
-    solver_err = np.linalg.norm(once - exact)
-    assert np.linalg.norm(twice - once) <= 2.0 * solver_err + 1e-12
-    assert np.linalg.norm(twice - exact) <= 2.0 * solver_err + 1e-12
+    for seed in range(20):
+        x = controlled_spectrum(60, 30, RATE_SPECTRUM, seed=seed)
+        exact = dense_projection(x, y)
+        solver = ic.build_solver(x, ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9))
+        once = ic.ling_solve(solver, y)
+        twice = ic.ling_solve(solver, once)
+        u1 = solver.basis.u1
+        deflated = np.linalg.norm(once - u1 @ (u1.T @ once), axis=0)
+        moved = np.linalg.norm(twice - once, axis=0)
+        assert np.all(moved <= r ** t2 * deflated + 1e-12)
+        solver_err = np.linalg.norm(once - exact)
+        assert np.linalg.norm(twice - once) <= 2.0 * solver_err + 1e-12
+        assert np.linalg.norm(twice - exact) <= solver_err + np.linalg.norm(twice - once) + 1e-12
 
 
 def reference_ling_solve(x, basis, t2, y):
@@ -200,3 +213,20 @@ def test_solve_matches_step_by_step_reference_bitwise(k_pc):
     for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal(60)):
         got = ic.ling_solve(solver, y)
         assert np.array_equal(got, reference_ling_solve(x, solver.basis, 6, y))
+
+
+def test_gd_steps_allocate_no_n_by_k_temporaries():
+    x = random_sparse(20000, 200, 0.02, seed=44)
+    y = rng_for(45).standard_normal((20000, 4))
+
+    def peak_bytes(t2):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ic.gd_least_squares(x, y, t2)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # the slack covers the p-by-k gradients, a small fraction of one n-by-k array
+    assert peak_bytes(20) <= peak_bytes(1) + y.nbytes // 4

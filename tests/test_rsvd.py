@@ -101,3 +101,45 @@ def test_invalid_arguments_rejected():
         ic.randomized_top_singulars(a, 0)
     with pytest.raises(ValueError):
         ic.randomized_top_singulars(a, 3, power_iters=-1)
+
+
+@pytest.fixture
+def qr_fallbacks(monkeypatch):
+    """Blocks well_conditioned_basis handed on to thin_qr."""
+    seen = []
+    original = ic.linalg.thin_qr
+
+    def spy(m):
+        seen.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(ic.linalg, "thin_qr", spy)
+    return seen
+
+
+def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch, qr_fallbacks):
+    # both the 3,000-row iterates and the 1,200-row a.T iterates take the pass
+    scales = np.concatenate([np.full(5, 1.0), np.full(1195, 0.05)])
+    a = random_sparse(3000, 1200, 0.01, seed=14, col_scales=scales)
+    got = ic.randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    again = ic.randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    assert qr_fallbacks == []
+    assert got.u1.tobytes() == again.u1.tobytes()
+    assert got.singular_estimates.tobytes() == again.singular_estimates.tobytes()
+    monkeypatch.setattr(ic.rsvd, "well_conditioned_basis", lambda m: ic.thin_qr(m).q)
+    ref = ic.randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    assert residual_dist(got.u1, ref.u1) <= 1e-10
+    np.testing.assert_allclose(got.singular_estimates, ref.singular_estimates, rtol=1e-12)
+    assert got.rank_deficient == ref.rank_deficient
+
+
+def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(qr_fallbacks):
+    # 300 copies of 4 columns: every 1,500-row and 1,200-row iterate has rank 4
+    a = ic.as_sparse(np.hstack([random_sparse(1500, 4, 0.3, seed=15).toarray()] * 300))
+    basis = ic.randomized_top_singulars(a, 6, power_iters=2, seed=0)
+    assert qr_fallbacks == [(1500, 16), (1200, 16)] * 2
+    assert basis.rank_deficient
+    assert basis.u1.shape == (1500, 4)
+    assert np.max(np.abs(basis.u1.T @ basis.u1 - np.eye(4))) <= 1e-12
+    proj = basis.u1 @ (basis.u1.T @ a.toarray())
+    np.testing.assert_allclose(proj, a.toarray(), atol=1e-10 * np.abs(a.data).max())
