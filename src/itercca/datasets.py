@@ -151,19 +151,25 @@ def read_matrix_market(path):
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 
+# Entries formatted per write, so memory stays bounded on large matrices.
+_MM_WRITE_CHUNK = 100_000
+
+
 def write_matrix_market(path, a):
     """Write a sparse matrix in Matrix Market coordinate format."""
     a = as_sparse(a)
     coo = a.tocoo()
-    # float repr round-trips the exact binary value
-    body = "".join([
-        f"{i + 1} {j + 1} {v!r}\n"
-        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-    ])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
-        fh.write(body)
+        for s in range(0, a.nnz, _MM_WRITE_CHUNK):
+            e = s + _MM_WRITE_CHUNK
+            # float repr round-trips the exact binary value
+            fh.write("".join([
+                f"{i + 1} {j + 1} {v!r}\n"
+                for i, j, v in zip(coo.row[s:e].tolist(), coo.col[s:e].tolist(),
+                                   coo.data[s:e].tolist())
+            ]))
 
 
 def _fast_libsvm(raw, n_cols):

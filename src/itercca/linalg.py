@@ -157,10 +157,10 @@ def _row_pool():
 def _row_ranges(a, k):
     """Row ranges of about equal nnz splitting a product of `a` with k columns.
 
-    One range (0, n) when the product runs serially: one block configured,
-    a product too small to repay the thread hand-off, or only one
-    non-empty range.  None when `a` is not float64 CSR, which the block
-    kernels do not take.
+    The single range (0, n) when the product runs serially: one block
+    configured, a product too small to repay the thread hand-off, or only
+    one non-empty range.  None when `a` is not float64 CSR, which the
+    block kernels do not take.
     """
     if a.format != "csr" or a.dtype != np.float64:
         return None
@@ -175,9 +175,11 @@ def _row_ranges(a, k):
 
 
 def _map_blocks(fn, ranges):
-    """[fn(r0, r1) for r0, r1 in ranges]; the caller runs the first, the pool the rest."""
-    pool = _row_pool()
-    pending = [pool.submit(fn, *rows) for rows in ranges[1:]]
+    """[fn(r0, r1) for r0, r1 in ranges]; the caller runs the first, the pool the rest.
+
+    A single range runs in the caller alone and never touches the pool.
+    """
+    pending = [_row_pool().submit(fn, *rows) for rows in ranges[1:]]
     try:
         first = fn(*ranges[0])
     finally:
@@ -185,8 +187,9 @@ def _map_blocks(fn, ranges):
     return [first] + [f.result() for f in pending]
 
 
-# The row blocks call the kernels scipy's own `@` runs on CSR and CSC
-# operands, with indptr[r0:r1 + 1] as the block's pointer array: it indexes
+# Float64 CSR products, serial (one range) or row-blocked, call the kernels
+# scipy's own `@` runs on CSR and CSC operands with two or more dense
+# columns, with indptr[r0:r1 + 1] as the block's pointer array: it indexes
 # the full data and indices buffers, so a block is a view with no copy.
 # Both kernels add into a zeroed output.
 
@@ -214,9 +217,9 @@ def sparse_dense_mul(a, b, out=None):
         )
     sparse_work.add(a.nnz * k)
     ranges = _row_ranges(a, k)
-    if out is None and (ranges is None or len(ranges) == 1):
-        return a @ b
     if ranges is None:  # a format or dtype the block kernel does not take
+        if out is None:
+            return a @ b
         out[...] = a @ b
         return out
     b = np.ascontiguousarray(b).reshape(-1)
@@ -230,10 +233,7 @@ def sparse_dense_mul(a, b, out=None):
             r1 - r0, p, k, a.indptr[r0 : r1 + 1], a.indices, a.data, b, out[r0:r1].reshape(-1)
         )
 
-    if len(ranges) == 1:
-        fill(*ranges[0])
-    else:
-        _map_blocks(fill, ranges)
+    _map_blocks(fill, ranges)
     return out
 
 
@@ -251,8 +251,7 @@ def sparse_transpose_dense_mul(a, b):
     k = b.shape[1]
     sparse_work.add(a.nnz * k)
     ranges = _row_ranges(a, k)
-    if ranges is None or len(ranges) == 1:
-        # .T on CSR is a CSC view; the product streams over stored entries.
+    if ranges is None:  # a format or dtype the block kernel does not take
         return a.T @ b
     b = np.ascontiguousarray(b)
 
@@ -331,6 +330,11 @@ def thin_qr(m):
         factors = _cholesky_qr2(m)
         if factors is not None:
             return factors
+    return _householder_qr(m)
+
+
+def _householder_qr(m):
+    """Householder thin QR of m, column signs flipped so diag(r) >= 0."""
     q, r = np.linalg.qr(m, mode="reduced")
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     return QrFactors(q * signs, r * signs[:, None])
@@ -342,14 +346,14 @@ def well_conditioned_basis(m):
     For blocks of at least 1000 rows this is one guarded Cholesky pass,
     the first half of CholeskyQR2: orthonormal to about eps * cond(m)**2,
     enough to keep power iterates from collapsing onto their top
-    direction.  Smaller blocks, and blocks the guard refuses, get
-    thin_qr(m).q.
+    direction.  Smaller blocks, and blocks the guard refuses, get the q of
+    thin_qr's Householder factorization, without a second run of the guard.
     """
     if m.shape[0] >= _CHOLQR2_MIN_ROWS:
         factors = _cholesky_pass(m)
         if factors is not None:
             return factors.q
-    return thin_qr(m).q
+    return _householder_qr(m).q
 
 
 def rank_deficient_columns(r, rtol=RANK_RTOL):

@@ -56,7 +56,10 @@ def per_entry_matrix_market(path, a):
             fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
-def test_matrix_market_writer_bytes_match_per_entry_reference(tmp_path):
+@pytest.mark.parametrize("chunk", [100_000, 7, 1])
+def test_matrix_market_writer_bytes_match_per_entry_reference(tmp_path, monkeypatch, chunk):
+    # the small chunks put many chunk boundaries inside the body
+    monkeypatch.setattr(ic.datasets, "_MM_WRITE_CHUNK", chunk)
     rng = np.random.Generator(np.random.PCG64(1))
     dense = rng.standard_normal((300, 40)) * (rng.random((300, 40)) < 0.2)
     dense[0, :3] = [1e-300, -2.5e300, 1.0 / 3.0]

@@ -183,9 +183,9 @@ def test_solve_is_nearly_idempotent():
         deflated = np.linalg.norm(once - u1 @ (u1.T @ once), axis=0)
         moved = np.linalg.norm(twice - once, axis=0)
         assert np.all(moved <= r ** t2 * deflated + 1e-12)
+        # with the triangle inequality this also bounds twice - exact by 3 err
         solver_err = np.linalg.norm(once - exact)
         assert np.linalg.norm(twice - once) <= 2.0 * solver_err + 1e-12
-        assert np.linalg.norm(twice - exact) <= solver_err + np.linalg.norm(twice - once) + 1e-12
 
 
 def reference_ling_solve(x, basis, t2, y):

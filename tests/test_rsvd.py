@@ -103,18 +103,23 @@ def test_invalid_arguments_rejected():
         ic.randomized_top_singulars(a, 3, power_iters=-1)
 
 
-@pytest.fixture
-def qr_fallbacks(monkeypatch):
-    """Blocks well_conditioned_basis handed on to thin_qr."""
+def spy_on(monkeypatch, name):
+    """Shapes of the blocks handed to ic.linalg.<name>, in call order."""
     seen = []
-    original = ic.linalg.thin_qr
+    original = getattr(ic.linalg, name)
 
     def spy(m):
         seen.append(m.shape)
         return original(m)
 
-    monkeypatch.setattr(ic.linalg, "thin_qr", spy)
+    monkeypatch.setattr(ic.linalg, name, spy)
     return seen
+
+
+@pytest.fixture
+def qr_fallbacks(monkeypatch):
+    """Blocks factored by Householder reflections, by thin_qr or as a fallback."""
+    return spy_on(monkeypatch, "_householder_qr")
 
 
 def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch, qr_fallbacks):
@@ -133,11 +138,14 @@ def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch,
     assert got.rank_deficient == ref.rank_deficient
 
 
-def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(qr_fallbacks):
+def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(monkeypatch, qr_fallbacks):
+    guarded = spy_on(monkeypatch, "_cholesky_pass")
     # 300 copies of 4 columns: every 1,500-row and 1,200-row iterate has rank 4
     a = ic.as_sparse(np.hstack([random_sparse(1500, 4, 0.3, seed=15).toarray()] * 300))
     basis = ic.randomized_top_singulars(a, 6, power_iters=2, seed=0)
-    assert qr_fallbacks == [(1500, 16), (1200, 16)] * 2
+    # four refused intermediate iterates, then the refused final thin_qr
+    assert qr_fallbacks == [(1500, 16), (1200, 16)] * 2 + [(1500, 16)]
+    assert guarded == qr_fallbacks  # each refused block ran the guard once
     assert basis.rank_deficient
     assert basis.u1.shape == (1500, 4)
     assert np.max(np.abs(basis.u1.T @ basis.u1 - np.eye(4))) <= 1e-12
