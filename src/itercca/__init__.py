@@ -50,15 +50,9 @@ from .datasets import (
     tokens_to_indicators,
     write_matrix_market,
 )
-from .evaluation import (
-    RateFit,
-    captured_correlation_sum,
-    fit_geometric_rate,
-    subspace_dist,
-)
+from .evaluation import captured_correlation_sum, fit_geometric_rate, subspace_dist
 from .linalg import (
     NonFiniteError,
-    QrFactors,
     as_sparse,
     gram_diagonal,
     rank_deficient_columns,
@@ -68,7 +62,7 @@ from .linalg import (
     sparse_work,
     thin_qr,
 )
-from .ling import LingConfig, LingSolver, build_solver, gd_least_squares, ling_solve
+from .ling import LingConfig, build_solver, gd_least_squares, ling_solve
 from .rsvd import RangeBasis, randomized_top_singulars
 
 __all__ = [
@@ -77,11 +71,8 @@ __all__ = [
     "ExactCcaFactors",
     "IterationFailure",
     "LingConfig",
-    "LingSolver",
     "NonFiniteError",
-    "QrFactors",
     "RangeBasis",
-    "RateFit",
     "SingularGramError",
     "SynthSpec",
     "TokenDatasetSpec",

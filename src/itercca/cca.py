@@ -23,10 +23,11 @@ plus the sparse multiply count consumed, so runs can be compared at
 matched compute budgets.
 """
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -107,17 +108,45 @@ class CcaResult:
 
     correlations come from a final small CCA between the two returned
     bases (the singular values of x_basis.T @ y_basis), which is the
-    common yardstick applied to every algorithm in this package.  work is
-    the sparse nonzero-multiply count the run consumed.
+    common yardstick applied to every algorithm in this package.  wall_time
+    and work, the sparse nonzero-multiply count, cover the whole call of
+    the solver that returned the result.
     """
 
     x_basis: np.ndarray
     y_basis: np.ndarray
     correlations: np.ndarray
-    trace: Optional[ConvergenceTrace]
-    wall_time: float
-    work: int
+    trace: Optional[ConvergenceTrace] = None
+    wall_time: float = 0.0
+    work: int = 0
     seed: Optional[int] = None
+
+
+def _metered(solver):
+    """Make `solver` report the wall time and sparse work of its whole call.
+
+    Solvers that call other metered solvers report the outermost call.
+    """
+
+    @functools.wraps(solver)
+    def metered(*args, **kwargs):
+        t0 = time.perf_counter()
+        w0 = sparse_work.total
+        result = solver(*args, **kwargs)
+        return replace(result, wall_time=time.perf_counter() - t0, work=sparse_work.total - w0)
+
+    return metered
+
+
+def _checked_pair(x, y, k_cca):
+    """Canonical x and y, after checking equal row counts and 1 <= k_cca <= min width."""
+    x = as_sparse(x, name="x")
+    y = as_sparse(y, name="y")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
+    if not 1 <= k_cca <= min(x.shape[1], y.shape[1]):
+        raise ValueError(f"k_cca={k_cca} outside [1, {min(x.shape[1], y.shape[1])}]")
+    return x, y
 
 
 def _inverse_sqrt_gram(c, side, ridge):
@@ -152,17 +181,10 @@ def exact_cca(x, y, k_cca, ridge=False):
     canonical correlations, and mapping the singular vectors back through
     the whitening factors gives the loadings.  Desk scale only.
     """
-    x = as_sparse(x, name="x")
-    y = as_sparse(y, name="y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
-    p1, p2 = x.shape[1], y.shape[1]
-    if max(p1, p2) > MAX_ORACLE_COLS:
-        raise ValueError(
-            f"exact solver is desk-scale only (p <= {MAX_ORACLE_COLS}), got {max(p1, p2)}"
-        )
-    if not 1 <= k_cca <= min(p1, p2):
-        raise ValueError(f"k_cca={k_cca} outside [1, {min(p1, p2)}]")
+    x, y = _checked_pair(x, y, k_cca)
+    p = max(x.shape[1], y.shape[1])
+    if p > MAX_ORACLE_COLS:
+        raise ValueError(f"exact solver is desk-scale only (p <= {MAX_ORACLE_COLS}), got {p}")
 
     cxx = sparse_gram(x)
     cyy = sparse_gram(y)
@@ -177,6 +199,7 @@ def exact_cca(x, y, k_cca, ridge=False):
     )
 
 
+@_metered
 def exact_cca_result(x, y, k_cca, ridge=False):
     """exact_cca packaged as a CcaResult for cross-algorithm comparison.
 
@@ -185,10 +208,7 @@ def exact_cca_result(x, y, k_cca, ridge=False):
     can push them further) and the correlations recomputed between the
     cleaned bases.
     """
-    t0 = time.perf_counter()
-    w0 = sparse_work.total
-    x = as_sparse(x, name="x")
-    y = as_sparse(y, name="y")
+    x, y = _checked_pair(x, y, k_cca)
     factors = exact_cca(x, y, k_cca, ridge=ridge)
     bases = []
     for side, a, loadings in (("x", x, factors.x_loadings), ("y", y, factors.y_loadings)):
@@ -196,15 +216,7 @@ def exact_cca_result(x, y, k_cca, ridge=False):
         if rank_deficient_columns(r).size:
             raise SingularGramError(side, "canonical variables are rank deficient")
         bases.append(q)
-    corr = final_correlations(bases[0], bases[1])
-    return CcaResult(
-        x_basis=bases[0],
-        y_basis=bases[1],
-        correlations=corr,
-        trace=None,
-        wall_time=time.perf_counter() - t0,
-        work=sparse_work.total - w0,
-    )
+    return CcaResult(bases[0], bases[1], final_correlations(bases[0], bases[1]))
 
 
 def final_correlations(x_basis, y_basis):
@@ -255,6 +267,7 @@ def _orthonormalize_iterate(m, side, rng, restarts, t, max_restarts=5):
     )
 
 
+@_metered
 def iterative_ls_cca(
     x,
     y,
@@ -278,19 +291,13 @@ def iterative_ls_cca(
     reference=(x_ref, y_ref) additionally records subspace distances to
     those references.
     """
-    x = as_sparse(x, name="x")
-    y = as_sparse(y, name="y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
-    if not 1 <= k_cca <= min(x.shape[1], y.shape[1]):
-        raise ValueError(f"k_cca={k_cca} outside [1, {min(x.shape[1], y.shape[1])}]")
+    x, y = _checked_pair(x, y, k_cca)
     if t1 < 1:
         raise ValueError("t1 must be >= 1")
     if reference is not None:
         trace = True
 
     t_start = time.perf_counter()
-    w_start = sparse_work.total
     rng = np.random.Generator(np.random.PCG64(seed))
     restarts = []
     corr_sums, seconds, dists_x, dists_y = [], [], [], []
@@ -322,18 +329,16 @@ def iterative_ls_cca(
             f"outer iteration {t} failed: {exc}", make_trace() if trace else None
         ) from exc
 
-    trace_obj = make_trace() if trace else None
     return CcaResult(
         x_basis=x_hat,
         y_basis=y_hat,
         correlations=final_correlations(x_hat, y_hat),
-        trace=trace_obj,
-        wall_time=time.perf_counter() - t_start,
-        work=sparse_work.total - w_start,
+        trace=make_trace() if trace else None,
         seed=seed,
     )
 
 
+@_metered
 def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     """Orthogonal iteration with the deflated-gradient LS solver per side.
 
@@ -342,10 +347,7 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     the random start and the two basis computations are derived from
     ling_cfg.seed, so one integer pins the whole run.
     """
-    t0 = time.perf_counter()
-    w0 = sparse_work.total
-    x = as_sparse(x, name="x")
-    y = as_sparse(y, name="y")
+    x, y = _checked_pair(x, y, k_cca)
     children = np.random.SeedSequence(ling_cfg.seed).spawn(3)
     seed_init, seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     solver_x = build_solver(x, replace(ling_cfg, seed=seed_x))
@@ -361,12 +363,7 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
         trace=trace,
         reference=reference,
     )
-    return replace(
-        result,
-        wall_time=time.perf_counter() - t0,
-        work=sparse_work.total - w0,
-        seed=ling_cfg.seed,
-    )
+    return replace(result, seed=ling_cfg.seed)
 
 
 def g_cca(x, y, k_cca, t1, t2, seed, trace=False, reference=None):
@@ -387,7 +384,7 @@ def _diagonal_ls(a, side):
     if n_zero:
         warnings.warn(
             f"{n_zero} zero-norm columns on side {side!r} treated as absent",
-            stacklevel=3,
+            stacklevel=4,  # past d_cca and its _metered wrapper
         )
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
@@ -397,10 +394,10 @@ def _diagonal_ls(a, side):
     return solve
 
 
+@_metered
 def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     """Orthogonal iteration with diagonal-Gram projections per side."""
-    x = as_sparse(x, name="x")
-    y = as_sparse(y, name="y")
+    x, y = _checked_pair(x, y, k_cca)
     return iterative_ls_cca(
         x,
         y,
@@ -414,6 +411,7 @@ def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     )
 
 
+@_metered
 def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
     """CCA restricted to randomized top singular bases of both sides.
 
@@ -423,13 +421,8 @@ def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
     cross product.  Correlation living outside the kept singular
     directions is invisible to this method by construction.
     """
-    t0 = time.perf_counter()
-    w0 = sparse_work.total
-    x = as_sparse(x, name="x")
-    y = as_sparse(y, name="y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
-    if not 1 <= k_cca <= k_rpcca <= min(x.shape[1], y.shape[1]):
+    x, y = _checked_pair(x, y, k_cca)
+    if not k_cca <= k_rpcca <= min(x.shape[1], y.shape[1]):
         raise ValueError(
             f"need 1 <= k_cca <= k_rpcca <= {min(x.shape[1], y.shape[1])}, "
             f"got k_cca={k_cca}, k_rpcca={k_rpcca}"
@@ -446,7 +439,7 @@ def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
         if basis.rank_deficient:
             warnings.warn(
                 f"side {side!r} has rank {basis.u1.shape[1]} < k_rpcca={k_rpcca}",
-                stacklevel=2,
+                stacklevel=3,  # past rp_cca's _metered wrapper
             )
     if min(basis_x.u1.shape[1], basis_y.u1.shape[1]) < k_cca:
         raise ValueError("data rank below k_cca; no full-size canonical basis exists")
@@ -454,12 +447,4 @@ def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
     u, d, vt = np.linalg.svd(basis_x.u1.T @ basis_y.u1)
     x_basis = basis_x.u1 @ u[:, :k_cca]
     y_basis = basis_y.u1 @ vt[:k_cca].T
-    return CcaResult(
-        x_basis=x_basis,
-        y_basis=y_basis,
-        correlations=final_correlations(x_basis, y_basis),
-        trace=None,
-        wall_time=time.perf_counter() - t0,
-        work=sparse_work.total - w0,
-        seed=seed,
-    )
+    return CcaResult(x_basis, y_basis, final_correlations(x_basis, y_basis), seed=seed)

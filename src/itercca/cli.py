@@ -14,15 +14,13 @@ outputs allowed to differ between identical runs.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .cca import (
-    IterationFailure,
-    SingularGramError,
     d_cca,
     exact_cca_result,
     g_cca,
@@ -41,18 +39,31 @@ from .evaluation import captured_correlation_sum, subspace_dist
 from .linalg import NonFiniteError
 from .ling import LingConfig
 
-ALGORITHMS = ("exact", "lcca", "dcca", "gcca", "rpcca")
 
-# which tuning parameters each algorithm consumes; anything else given
-# explicitly is a config error
-_ALGO_PARAMS = {
-    "exact": (),
-    "lcca": ("t1", "t2", "kpc"),
-    "gcca": ("t1", "t2"),
-    "dcca": ("t1",),
-    "rpcca": ("krpcca",),
+class _Algo(NamedTuple):
+    params: tuple  # the tuning parameters it requires; giving any other is a config error
+    iterative: bool  # takes --trace and traces distances to --oracle-compare's bases
+    run: Callable  # (config, x, y, reference bases or None) -> CcaResult
+
+
+# The one table of algorithms.  Each runner looks its solver up in this
+# module when it is called, so a solver rebound here (to capture or trace
+# its results) is the one that runs.
+_ALGOS = {
+    "exact": _Algo((), False, lambda c, x, y, ref: exact_cca_result(
+        x, y, c.kcca, ridge=c.ridge)),
+    "lcca": _Algo(("t1", "t2", "kpc"), True, lambda c, x, y, ref: l_cca(
+        x, y, c.kcca, c.t1, LingConfig(k_pc=c.kpc, t2=c.t2, seed=c.seed),
+        trace=c.trace, reference=ref)),
+    "gcca": _Algo(("t1", "t2"), True, lambda c, x, y, ref: g_cca(
+        x, y, c.kcca, c.t1, c.t2, c.seed, trace=c.trace, reference=ref)),
+    "dcca": _Algo(("t1",), True, lambda c, x, y, ref: d_cca(
+        x, y, c.kcca, c.t1, c.seed, trace=c.trace, reference=ref)),
+    "rpcca": _Algo(("krpcca",), False, lambda c, x, y, ref: rp_cca(
+        x, y, c.kcca, c.krpcca, seed=c.seed)),
 }
-_ITERATIVE = ("lcca", "gcca", "dcca")
+_PARAMS = tuple(dict.fromkeys(p for algo in _ALGOS.values() for p in algo.params))
+_RUN_KEYS = ("algo", *_PARAMS, "seed")
 
 
 class ConfigError(ValueError):
@@ -91,9 +102,18 @@ class RunConfig:
     boundary_token: Optional[str] = None
 
 
+# RunConfig fields that pick the dataset and the out directory; configs
+# under one compare share them.
+_SHARED_FIELDS = (
+    "x", "y", "fmt", "synth_spec", "tokens", "kcca", "out",
+    "x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top", "boundary_token",
+)
+
+
 def _validate(config):
-    if config.algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {config.algo!r}; choose from {ALGORITHMS}")
+    algo = _ALGOS.get(config.algo)
+    if algo is None:
+        raise ConfigError(f"unknown algorithm {config.algo!r}; choose from {tuple(_ALGOS)}")
     sources = [config.x is not None, config.synth_spec is not None, config.tokens is not None]
     if sum(sources) != 1:
         raise ConfigError("exactly one data source required: --x/--y, --synth-spec, or --tokens")
@@ -105,10 +125,9 @@ def _validate(config):
     if config.kcca < 1:
         raise ConfigError("--kcca must be >= 1")
 
-    allowed = _ALGO_PARAMS[config.algo]
-    for name in ("t1", "t2", "kpc", "krpcca"):
+    for name in _PARAMS:
         value = getattr(config, name)
-        if name in allowed:
+        if name in algo.params:
             if value is None:
                 raise ConfigError(f"--{name} is required for algorithm {config.algo!r}")
         elif value is not None:
@@ -122,8 +141,8 @@ def _validate(config):
     if config.krpcca is not None and config.krpcca < config.kcca:
         raise ConfigError("--krpcca must be >= --kcca")
 
-    if config.trace and config.algo not in _ITERATIVE:
-        raise ConfigError(f"--trace applies only to iterative algorithms {_ITERATIVE}")
+    if config.trace and not algo.iterative:
+        raise ConfigError(f"--trace does not apply to algorithm {config.algo!r}")
     if config.oracle_compare and config.algo == "exact":
         raise ConfigError("--oracle-compare is redundant for the exact algorithm")
     if config.ridge and config.algo != "exact" and not config.oracle_compare:
@@ -174,23 +193,55 @@ def _load_dataset(config):
     return x, y, meta
 
 
-def _dispatch(config, x, y, oracle):
-    reference = None
-    if oracle is not None and config.algo in _ITERATIVE:
-        reference = (oracle.x_basis, oracle.y_basis)
-    trace = config.trace
-    if config.algo == "exact":
-        return exact_cca_result(x, y, config.kcca, ridge=config.ridge)
-    if config.algo == "lcca":
-        cfg = LingConfig(k_pc=config.kpc, t2=config.t2, seed=config.seed)
-        return l_cca(x, y, config.kcca, config.t1, cfg, trace=trace, reference=reference)
-    if config.algo == "gcca":
-        return g_cca(x, y, config.kcca, config.t1, config.t2, config.seed,
-                     trace=trace, reference=reference)
-    if config.algo == "dcca":
-        return d_cca(x, y, config.kcca, config.t1, config.seed,
-                     trace=trace, reference=reference)
-    return rp_cca(x, y, config.kcca, config.krpcca, seed=config.seed)
+def _fail(exc, status):
+    print(f"error: {exc}", file=sys.stderr)
+    return status
+
+
+def _load(configs):
+    """Check `configs`, create their out directory, and read their shared dataset.
+
+    Returns ((x, y, meta), 0), or (None, exit status) after printing the
+    error: 2 for a bad configuration, an out directory that cannot be
+    made, or a file that cannot be read or parsed; 1 for non-finite values
+    in the data.
+    """
+    try:
+        if not configs:
+            raise ConfigError("compare needs at least one configuration")
+        for config in configs:
+            for name in _SHARED_FIELDS:
+                if getattr(config, name) != getattr(configs[0], name):
+                    raise ConfigError(f"compare configs disagree on {name}")
+            _validate(config)
+        if configs[0].out:
+            Path(configs[0].out).mkdir(parents=True, exist_ok=True)
+        return _load_dataset(configs[0]), 0
+    except NonFiniteError as exc:
+        return None, _fail(exc, 1)
+    except (ConfigError, ValueError, OSError) as exc:
+        return None, _fail(exc, 2)
+
+
+def _solve(config, x, y, out=None):
+    """(result, oracle) of one config, or None after printing why it failed.
+
+    oracle is the exact solution under --oracle-compare, else None.  Every
+    failure here exits 1; an iteration failure first writes its partial
+    trace into `out`.
+    """
+    try:
+        oracle = None
+        if config.oracle_compare:
+            oracle = exact_cca_result(x, y, config.kcca, ridge=config.ridge)
+        reference = None if oracle is None else (oracle.x_basis, oracle.y_basis)
+        return _ALGOS[config.algo].run(config, x, y, reference), oracle
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        partial = getattr(exc, "partial_trace", None)
+        if out is not None and partial is not None and partial.corr_sums.size:
+            _write_trace(out / "trace.csv", partial)
+        _fail(exc, 1)
+        return None
 
 
 def _config_echo(config):
@@ -225,33 +276,17 @@ def _write_trace(path, trace):
 
 def run(config):
     """Execute one configuration, write its result files, return exit status."""
-    try:
-        _validate(config)
-        if config.out is None:
-            raise ConfigError("--out directory is required")
-        x, y, meta = _load_dataset(config)
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    if config.out is None:
+        return _fail(ConfigError("--out directory is required"), 2)
+    data, status = _load([config])
+    if status:
+        return status
+    x, y, meta = data
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        oracle = None
-        if config.oracle_compare:
-            oracle = exact_cca_result(x, y, config.kcca, ridge=config.ridge)
-        result = _dispatch(config, x, y, oracle)
-    except IterationFailure as exc:
-        if exc.partial_trace is not None and exc.partial_trace.corr_sums.size:
-            _write_trace(out / "trace.csv", exc.partial_trace)
-        print(f"error: {exc}", file=sys.stderr)
+    solved = _solve(config, x, y, out)
+    if solved is None:
         return 1
-    except (SingularGramError, np.linalg.LinAlgError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result, oracle = solved
 
     _write_correlations(out / "correlations.csv", result.correlations)
     if result.trace is not None:
@@ -282,36 +317,29 @@ def run(config):
 
 
 def _params_string(config):
-    parts = [f"{name}={getattr(config, name)}" for name in _ALGO_PARAMS[config.algo]]
+    parts = [f"{name}={getattr(config, name)}" for name in _ALGOS[config.algo].params]
     parts.append(f"seed={config.seed}")
     return ";".join(parts)
 
 
 def compare(configs):
-    """Run several configurations on one shared dataset; return table rows.
+    """Run several configurations on one shared dataset; return exit status.
 
-    All configs must agree on the data source and kcca.  Each row carries
-    the algorithm, its parameters, work and wall time, the captured
-    correlation sum, and the per-index correlations.
+    All configs must agree on the data source, kcca and out.  Prints one
+    table row per config: the algorithm, its parameters, work and wall
+    time, the captured correlation sum, and the per-index correlations.
+    With out set, also writes the rows to comparison.csv there.
     """
-    if not configs:
-        raise ConfigError("compare needs at least one configuration")
-    data_fields = (
-        "x", "y", "fmt", "synth_spec", "tokens", "kcca",
-        "x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top", "boundary_token",
-    )
-    head = configs[0]
-    for other in configs[1:]:
-        for name in data_fields:
-            if getattr(head, name) != getattr(other, name):
-                raise ConfigError(f"compare configs disagree on {name}")
-    for config in configs:
-        _validate(config)
-
-    x, y, _ = _load_dataset(head)
+    data, status = _load(configs)
+    if status:
+        return status
+    x, y, _ = data
     rows = []
     for config in configs:
-        result = _dispatch(config, x, y, None)
+        solved = _solve(config, x, y)
+        if solved is None:
+            return 1
+        result = solved[0]
         rows.append({
             "algo": config.algo,
             "params": _params_string(config),
@@ -320,7 +348,10 @@ def compare(configs):
             "corr_sum": captured_correlation_sum(result),
             "correlations": [float(c) for c in result.correlations],
         })
-    return rows
+    _print_comparison(rows, sys.stdout)
+    if configs[0].out:
+        _write_comparison(Path(configs[0].out) / "comparison.csv", rows)
+    return 0
 
 
 def _print_comparison(rows, stream):
@@ -379,16 +410,29 @@ def _add_data_flags(p):
 
 
 def _parse_run_spec(text):
-    fields = {}
+    """The RunConfig fields one --run spec sets, e.g. algo=lcca,t1=6,t2=8,kpc=100."""
+    spec = {}
     for item in text.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in ("algo", "t1", "t2", "kpc", "krpcca", "seed"):
-            raise ConfigError(f"bad --run field {item!r}; keys: algo,t1,t2,kpc,krpcca,seed")
-        fields[key] = value.strip() if key == "algo" else int(value)
-    if "algo" not in fields:
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or key not in _RUN_KEYS:
+            raise ConfigError(f"bad --run field {item!r}; keys: {','.join(_RUN_KEYS)}")
+        if key in spec:
+            raise ConfigError(f"--run spec {text!r} sets {key} twice")
+        if key != "algo":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"--run field {key} needs an integer, got {value!r}") from None
+        spec[key] = value
+    if "algo" not in spec:
         raise ConfigError(f"--run spec {text!r} needs algo=...")
-    return fields
+    return spec
+
+
+def _config(args, **overrides):
+    """The RunConfig named by the parsed flags, with `overrides` taking precedence."""
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{**{k: v for k, v in vars(args).items() if k in names}, **overrides})
 
 
 def main(argv=None):
@@ -399,7 +443,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one algorithm and write result files")
-    p_run.add_argument("--algo", required=True, choices=ALGORITHMS)
+    p_run.add_argument("--algo", required=True, choices=tuple(_ALGOS))
     _add_data_flags(p_run)
     p_run.add_argument("--t1", type=int, help="outer orthogonal iterations")
     p_run.add_argument("--t2", type=int, help="inner gradient iterations")
@@ -417,47 +461,12 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        config = RunConfig(
-            algo=args.algo, x=args.x, y=args.y, fmt=args.fmt,
-            synth_spec=args.synth_spec, tokens=args.tokens,
-            kcca=args.kcca, t1=args.t1, t2=args.t2, kpc=args.kpc, krpcca=args.krpcca,
-            seed=args.seed, out=args.out, trace=args.trace,
-            oracle_compare=args.oracle_compare, ridge=args.ridge,
-            x_vocab_limit=args.x_vocab_limit, y_vocab_limit=args.y_vocab_limit,
-            x_drop_top=args.x_drop_top, y_drop_top=args.y_drop_top,
-            boundary_token=args.boundary_token,
-        )
-        return run(config)
-
-    base = dict(
-        x=args.x, y=args.y, fmt=args.fmt, synth_spec=args.synth_spec, tokens=args.tokens,
-        kcca=args.kcca, seed=args.seed, ridge=args.ridge,
-        x_vocab_limit=args.x_vocab_limit, y_vocab_limit=args.y_vocab_limit,
-        x_drop_top=args.x_drop_top, y_drop_top=args.y_drop_top,
-        boundary_token=args.boundary_token,
-    )
+        return run(_config(args))
     try:
-        configs = []
-        for spec in args.runs:
-            fields = _parse_run_spec(spec)
-            seed = fields.pop("seed", args.seed)
-            configs.append(RunConfig(**{**base, **fields, "seed": seed}))
-        rows = compare(configs)
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IterationFailure, SingularGramError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _print_comparison(rows, sys.stdout)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_comparison(out / "comparison.csv", rows)
-    return 0
+        configs = [_config(args, **_parse_run_spec(spec)) for spec in args.runs]
+    except ConfigError as exc:
+        return _fail(exc, 2)
+    return compare(configs)
 
 
 if __name__ == "__main__":

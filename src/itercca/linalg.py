@@ -5,7 +5,7 @@ duplicate-free column indices and no explicitly stored zeros; `as_sparse`
 produces that form and freezes the underlying buffers.  It validates each
 input once, where it enters: a matrix that `as_sparse` itself returned is
 handed back as is, without a copy or a check, so the repeated calls at
-every solver entry point cost nothing.  Dense matrices are plain float64
+every solver entry point and public kernel cost nothing.  Dense matrices are plain float64
 ndarrays and are tall-skinny everywhere in this package.
 
 The two sparse-dense products funnel through a per-thread work counter
@@ -72,9 +72,6 @@ class _SparseWork(threading.local):
 
     def add(self, count):
         self.total += int(count)
-
-    def reset(self):
-        self.total = 0
 
 
 sparse_work = _SparseWork()
@@ -155,15 +152,12 @@ def _row_pool():
 
 
 def _row_ranges(a, k):
-    """Row ranges of about equal nnz splitting a product of `a` with k columns.
+    """Row ranges of about equal nnz splitting a product of canonical `a` with k columns.
 
     The single range (0, n) when the product runs serially: one block
     configured, a product too small to repay the thread hand-off, or only
-    one non-empty range.  None when `a` is not float64 CSR, which the
-    block kernels do not take.
+    one non-empty range.
     """
-    if a.format != "csr" or a.dtype != np.float64:
-        return None
     blocks = _ROW_BLOCKS
     if blocks < 2 or a.nnz * k < _ROW_BLOCK_MIN_WORK:
         return [(0, a.shape[0])]
@@ -187,11 +181,13 @@ def _map_blocks(fn, ranges):
     return [first] + [f.result() for f in pending]
 
 
-# Float64 CSR products, serial (one range) or row-blocked, call the kernels
-# scipy's own `@` runs on CSR and CSC operands with two or more dense
-# columns, with indptr[r0:r1 + 1] as the block's pointer array: it indexes
-# the full data and indices buffers, so a block is a view with no copy.
-# Both kernels add into a zeroed output.
+# The public kernels start with `a = as_sparse(a)`: an identity check on
+# the package's own matrices, one canonicalizing copy per call for any
+# other input.  Every product, serial (one range) or row-blocked, then
+# calls the kernels scipy's own `@` runs on CSR and CSC operands with two
+# or more dense columns, with indptr[r0:r1 + 1] as the block's pointer
+# array: it indexes the full data and indices buffers, so a block is a
+# view with no copy.  Both kernels add into a zeroed output.
 
 
 def sparse_dense_mul(a, b, out=None):
@@ -201,6 +197,7 @@ def sparse_dense_mul(a, b, out=None):
     written into `out` and `out` is returned, bitwise equal to the product
     made without it.
     """
+    a = as_sparse(a)
     b = _check_dense(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(
@@ -216,12 +213,6 @@ def sparse_dense_mul(a, b, out=None):
             f"got {out.dtype} {out.shape}"
         )
     sparse_work.add(a.nnz * k)
-    ranges = _row_ranges(a, k)
-    if ranges is None:  # a format or dtype the block kernel does not take
-        if out is None:
-            return a @ b
-        out[...] = a @ b
-        return out
     b = np.ascontiguousarray(b).reshape(-1)
     if out is None:
         out = np.zeros((n, k))
@@ -233,7 +224,7 @@ def sparse_dense_mul(a, b, out=None):
             r1 - r0, p, k, a.indptr[r0 : r1 + 1], a.indices, a.data, b, out[r0:r1].reshape(-1)
         )
 
-    _map_blocks(fill, ranges)
+    _map_blocks(fill, _row_ranges(a, k))
     return out
 
 
@@ -242,6 +233,7 @@ def sparse_transpose_dense_mul(a, b):
 
     `a` is sparse n-by-p, `b` dense n-by-k; the result is dense p-by-k.
     """
+    a = as_sparse(a)
     b = _check_dense(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError(
@@ -250,9 +242,6 @@ def sparse_transpose_dense_mul(a, b):
     p = a.shape[1]
     k = b.shape[1]
     sparse_work.add(a.nnz * k)
-    ranges = _row_ranges(a, k)
-    if ranges is None:  # a format or dtype the block kernel does not take
-        return a.T @ b
     b = np.ascontiguousarray(b)
 
     def partial(r0, r1):
@@ -263,7 +252,7 @@ def sparse_transpose_dense_mul(a, b):
         )
         return part
 
-    partials = _map_blocks(partial, ranges)
+    partials = _map_blocks(partial, _row_ranges(a, k))
     out = partials[0]
     for part in partials[1:]:
         out += part
@@ -298,14 +287,14 @@ def _cholesky_qr2(m):
 
     Two Cholesky passes, the second on the first q, with r = r2 r1.
     Orthogonality stays at rounding level only while cond(m) is well
-    below eps**-0.5 (about 7e7), which the guard on the first pass keeps.
+    below eps**-0.5 (about 7e7), which the guard on the first pass keeps;
+    the first q is then conditioned near 1, so the second pass always
+    passes the guard.
     """
     first = _cholesky_pass(m)
     if first is None:
         return None
     second = _cholesky_pass(first.q)
-    if second is None:
-        return None
     return QrFactors(second.q, second.r @ first.r)
 
 
@@ -367,6 +356,7 @@ def rank_deficient_columns(r, rtol=RANK_RTOL):
 
 def gram_diagonal(a):
     """Squared column norms of a sparse matrix, i.e. diag(a.T @ a)."""
+    a = as_sparse(a)
     p = a.shape[1]
     if a.nnz == 0:
         return np.zeros(p)
@@ -381,8 +371,8 @@ def sparse_gram(a, b=None):
     Counted into `sparse_work` at the exact multiply count of the
     row-outer-product expansion.
     """
-    if b is None:
-        b = a
+    a = as_sparse(a)
+    b = a if b is None else as_sparse(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
     row_nnz_a = np.diff(a.indptr)

@@ -2,11 +2,15 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import itercca as ic
+from itercca import cli
 
 from conftest import (
     brute_force_cca,
@@ -212,6 +216,32 @@ def test_d_cca_same_indicator_sides_give_unit_correlations():
     np.testing.assert_allclose(run.correlations, np.ones(3), atol=1e-8)
 
 
+def test_d_cca_wall_time_covers_its_diagonal_set_up(monkeypatch):
+    toks = tuple("abcab" * 30)
+    x, y = ic.tokens_to_indicators(ic.TokenDatasetSpec(tokens=toks))
+    original = ic.cca.gram_diagonal
+
+    def slow_gram_diagonal(a):
+        time.sleep(0.05)
+        return original(a)
+
+    monkeypatch.setattr(ic.cca, "gram_diagonal", slow_gram_diagonal)
+    assert ic.d_cca(x, y, 2, t1=2, seed=0).wall_time >= 0.1
+
+
+def test_solver_warnings_point_at_the_caller():
+    dense = random_sparse(40, 6, 0.6, seed=14).toarray()
+    dense[:, 2] = 0.0
+    with pytest.warns(UserWarning, match="zero-norm") as record:
+        ic.d_cca(ic.as_sparse(dense), random_sparse(40, 5, 0.6, seed=15), 2, t1=2, seed=0)
+    assert record[0].filename == __file__
+    thin = rng_for(16).standard_normal((40, 3))
+    low_rank = ic.as_sparse(thin @ rng_for(17).standard_normal((3, 8)))
+    with pytest.warns(UserWarning, match="k_rpcca=5") as record:
+        ic.rp_cca(low_rank, random_sparse(40, 6, 0.6, seed=18), 2, k_rpcca=5, seed=0)
+    assert record[0].filename == __file__
+
+
 def test_d_cca_equals_exact_ls_route_on_indicator_data():
     toks = markov_tokens(3000, 2, 10, (0.9, 0.6), seed=41)
     x, y = ic.tokens_to_indicators(ic.TokenDatasetSpec(tokens=tuple(toks)))
@@ -349,3 +379,63 @@ def test_concurrent_solves_report_only_their_own_work():
             assert together == alone
     finally:
         sys.setswitchinterval(interval)
+
+
+# Derandomized, so every run of the suite checks the same examples.
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def gaussian_pair(seed, n, p1, p2):
+    """A dense Gaussian pair sharing one latent direction, well conditioned."""
+    rng = rng_for(seed)
+    shared = rng.standard_normal((n, 1))
+    x = rng.standard_normal((n, p1)) + shared
+    y = rng.standard_normal((n, p2)) + shared
+    return x, y
+
+
+def exact_correlations(x, y, k):
+    return ic.exact_cca_result(ic.as_sparse(x), ic.as_sparse(y), k).correlations
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(24, 60),
+    p1=st.integers(2, 6),
+    p2=st.integers(2, 6),
+    scale_exponents=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=12, max_size=12),
+)
+def test_exact_correlations_obey_the_invariances_of_cca(
+    seed, n, p1, p2, scale_exponents, signs
+):
+    x, y = gaussian_pair(seed, n, p1, p2)
+    k = min(p1, p2)
+    want = exact_correlations(x, y, k)
+    perm = rng_for(seed + 1).permutation(n)
+    np.testing.assert_allclose(exact_correlations(x[perm], y[perm], k), want, atol=1e-9)
+    scales = np.array(signs) * 10.0 ** np.array(scale_exponents)
+    np.testing.assert_allclose(
+        exact_correlations(x * scales[:p1], y * scales[p1:p1 + p2], k), want, atol=1e-9
+    )
+    np.testing.assert_allclose(exact_correlations(y, x, k), want, atol=1e-9)
+
+
+# A value for every tuning parameter any algorithm takes, valid at kcca=2.
+SMALL_BUDGET = {"t1": 3, "t2": 2, "kpc": 2, "krpcca": 4}
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.3, 1.0))
+def test_every_algorithm_reports_sorted_correlations_in_the_unit_interval(seed, density):
+    x = random_sparse(80, 7, density, seed=seed)
+    y = random_sparse(80, 6, density, seed=seed + 1)
+    for name, algo in cli._ALGOS.items():
+        budget = {param: SMALL_BUDGET[param] for param in algo.params}
+        config = cli.RunConfig(algo=name, kcca=2, seed=seed, **budget)
+        corrs = algo.run(config, x, y, None).correlations
+        assert corrs.shape == (2,), name
+        assert np.all(np.isfinite(corrs)), name
+        assert np.all((corrs >= 0.0) & (corrs <= 1.0)), name
+        assert np.all(np.diff(corrs) <= 0.0), name

@@ -8,7 +8,7 @@ import pytest
 import itercca as ic
 from itercca import cli
 
-from conftest import markov_tokens, random_sparse
+from conftest import markov_tokens, random_sparse, rng_for
 
 
 def planted_mm_pair(tmp_path, seed=11):
@@ -181,6 +181,18 @@ def test_run_missing_out_directory_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_out_directory_that_cannot_be_made_is_config_error(tmp_path, capsys):
+    xp, yp = planted_mm_pair(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    data = ["--x", str(xp), "--y", str(yp), "--format", "mm", "--kcca", "2",
+            "--out", str(blocker / "out")]
+    assert cli.main(["run", "--algo", "exact", *data]) == 2
+    assert "blocker" in capsys.readouterr().err
+    assert cli.main(["compare", *data, "--run", "algo=exact"]) == 2
+    assert "blocker" in capsys.readouterr().err
+
+
 def test_run_rank_starved_instance_exits_one(tmp_path, capsys):
     thin = np.random.Generator(np.random.PCG64(3)).standard_normal((40, 3))
     wide = np.random.Generator(np.random.PCG64(4)).standard_normal((3, 8))
@@ -226,6 +238,25 @@ def test_run_token_stream_with_trim_flags(tmp_path):
     payload = json.loads((out / "run.json").read_text())
     assert payload["data"]["p1"] == 10
     assert payload["data"]["p2"] == 10
+
+
+def test_run_calls_the_solver_bound_in_cli_at_call_time(tmp_path, monkeypatch):
+    # Benchmarks and tracers capture results by rebinding the solver names.
+    xp, yp = planted_mm_pair(tmp_path)
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(ic.d_cca(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "d_cca", capture)
+    assert cli.main([
+        "run", "--algo", "dcca", "--t1", "2", "--x", str(xp), "--y", str(yp),
+        "--format", "mm", "--kcca", "2", "--out", str(tmp_path / "out"),
+    ]) == 0
+    assert len(seen) == 1
+    np.testing.assert_array_equal(read_corr_csv(tmp_path / "out" / "correlations.csv"),
+                                  np.array([float(f"{c:.12g}") for c in seen[0].correlations]))
 
 
 def test_compare_single_config_is_valid(tmp_path, capsys):
@@ -277,12 +308,32 @@ def test_compare_steep_spectrum_favors_deflation(tmp_path):
     assert by_algo["lcca"] >= by_algo["gcca"]
 
 
-def test_compare_rejects_malformed_run_spec(tmp_path):
+def test_compare_rejects_malformed_run_spec(tmp_path, capsys):
     xp, yp = planted_mm_pair(tmp_path)
     base = ["compare", "--x", str(xp), "--y", str(yp), "--format", "mm", "--kcca", "2"]
     assert cli.main(base + ["--run", "t1=5"]) == 2
     assert cli.main(base + ["--run", "algo=lcca,bogus=3"]) == 2
     assert cli.main(base + ["--run", "algo=nosuch"]) == 2
+    capsys.readouterr()
+    assert cli.main(base + ["--run", "algo=dcca,t1=2,t1=0"]) == 2
+    assert "sets t1 twice" in capsys.readouterr().err
+    assert cli.main(base + ["--run", "algo=gcca,t1=2,t2=1.5"]) == 2
+    assert "--run field t2 needs an integer, got '1.5'" in capsys.readouterr().err
+
+
+def test_compare_solver_failures_exit_one_like_run(tmp_path, capsys):
+    base = rng_for(4).standard_normal((30, 5))
+    singular = tmp_path / "singular.mtx"
+    ic.write_matrix_market(singular, ic.as_sparse(np.hstack([base, base[:, :1]])))
+    y30, y40 = tmp_path / "y30.mtx", tmp_path / "y40.mtx"
+    ic.write_matrix_market(y30, random_sparse(30, 4, 0.6, seed=5))
+    ic.write_matrix_market(y40, random_sparse(40, 4, 0.6, seed=5))
+    for x, y, message in ((singular, y30, "numerically singular"), (y30, y40, "row mismatch")):
+        data = ["--x", str(x), "--y", str(y), "--format", "mm", "--kcca", "2"]
+        run = cli.main(["run", "--algo", "exact", *data, "--out", str(tmp_path / "out")])
+        assert message in capsys.readouterr().err
+        assert cli.main(["compare", *data, "--run", "algo=exact"]) == run == 1
+        assert message in capsys.readouterr().err
 
 
 # Malformed libsvm files and what `itercca run --format libsvm` printed
