@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg
 
 import itercca as ic
+from itercca.evaluation import fit_geometric_rate
 
 
 def dense_ls(a):
@@ -46,8 +47,8 @@ def main():
 
     errors = np.asarray(result.trace.dists_x)
     keep = errors > 1e-12 * errors[0]
-    fitted = ic.fit_geometric_rate(errors[keep])
-    print(f"fitted per-round rate {fitted.ratio:.3f} vs bound {gap**2:.3f}")
+    fitted = fit_geometric_rate(errors[keep])
+    print(f"fitted per-round rate {fitted:.3f} vs bound {gap**2:.3f}")
     print(f"final distances: x {result.trace.dists_x[-1]:.2e}, "
           f"y {result.trace.dists_y[-1]:.2e}")
 

@@ -1,8 +1,9 @@
 """Top-k canonical correlation subspaces of large sparse matrix pairs.
 
-Exact desk-scale solver, orthogonal iteration with pluggable least-squares
-solvers, the deflated-gradient solver family, and the supporting kernels,
-metrics, and data tooling.
+The namespace holds the solver API: the solvers, their configs, results
+and errors, the data entry points and the metrics that compare runs.  The
+kernels are reached through their modules: `linalg`, `rsvd`, `ling` and
+`evaluation`.
 """
 
 import os as _os
@@ -50,20 +51,9 @@ from .datasets import (
     tokens_to_indicators,
     write_matrix_market,
 )
-from .evaluation import captured_correlation_sum, fit_geometric_rate, subspace_dist
-from .linalg import (
-    NonFiniteError,
-    as_sparse,
-    gram_diagonal,
-    rank_deficient_columns,
-    sparse_dense_mul,
-    sparse_gram,
-    sparse_transpose_dense_mul,
-    sparse_work,
-    thin_qr,
-)
-from .ling import LingConfig, build_solver, gd_least_squares, ling_solve
-from .rsvd import RangeBasis, randomized_top_singulars
+from .evaluation import captured_correlation_sum, subspace_dist
+from .linalg import NonFiniteError, as_sparse
+from .ling import LingConfig
 
 __all__ = [
     "CcaResult",
@@ -72,36 +62,23 @@ __all__ = [
     "IterationFailure",
     "LingConfig",
     "NonFiniteError",
-    "RangeBasis",
     "SingularGramError",
     "SynthSpec",
     "TokenDatasetSpec",
     "as_sparse",
-    "build_solver",
     "captured_correlation_sum",
     "d_cca",
     "exact_cca",
     "exact_cca_result",
     "final_correlations",
-    "fit_geometric_rate",
     "g_cca",
-    "gd_least_squares",
-    "gram_diagonal",
     "iterative_ls_cca",
     "l_cca",
-    "ling_solve",
-    "randomized_top_singulars",
-    "rank_deficient_columns",
     "read_libsvm",
     "read_matrix_market",
     "rp_cca",
-    "sparse_dense_mul",
-    "sparse_gram",
-    "sparse_transpose_dense_mul",
-    "sparse_work",
     "subspace_dist",
     "synth_correlated",
-    "thin_qr",
     "tokens_to_indicators",
     "write_matrix_market",
 ]

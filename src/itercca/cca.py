@@ -51,6 +51,9 @@ MAX_ORACLE_COLS = 2048
 _EIG_FLOOR_REL = 1e-10
 _RIDGE_REL = 1e-8
 
+# Rounds of column replacement a rank-collapsed iterate gets before failing.
+_MAX_RESTARTS = 5
+
 
 class SingularGramError(ValueError):
     """A Gram matrix is numerically singular and ridge repair is off."""
@@ -119,7 +122,6 @@ class CcaResult:
     trace: Optional[ConvergenceTrace] = None
     wall_time: float = 0.0
     work: int = 0
-    seed: Optional[int] = None
 
 
 def _metered(solver):
@@ -247,14 +249,14 @@ def _replace_deficient(m, bad, side, rng):
     return m
 
 
-def _orthonormalize_iterate(m, side, rng, restarts, t, max_restarts=5):
+def _orthonormalize_iterate(m, side, rng, restarts, t):
     """Thin QR of an iterate, reviving rank-collapsed columns.
 
     Deficient columns are replaced with fresh random combinations of the
     side's data columns and the QR redone; gives up only when the data
     itself cannot support the block size.
     """
-    for _ in range(max_restarts + 1):
+    for _ in range(_MAX_RESTARTS + 1):
         q, r = thin_qr(m)
         bad = rank_deficient_columns(r)
         if bad.size == 0:
@@ -262,7 +264,7 @@ def _orthonormalize_iterate(m, side, rng, restarts, t, max_restarts=5):
         restarts.append(t)
         m = _replace_deficient(m, bad, side, rng)
     raise np.linalg.LinAlgError(
-        f"iterate stayed rank-deficient after {max_restarts} restarts "
+        f"iterate stayed rank-deficient after {_MAX_RESTARTS} restarts "
         f"(data rank below the requested block size?)"
     )
 
@@ -334,7 +336,6 @@ def iterative_ls_cca(
         y_basis=y_hat,
         correlations=final_correlations(x_hat, y_hat),
         trace=make_trace() if trace else None,
-        seed=seed,
     )
 
 
@@ -352,7 +353,7 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     seed_init, seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     solver_x = build_solver(x, replace(ling_cfg, seed=seed_x))
     solver_y = build_solver(y, replace(ling_cfg, seed=seed_y))
-    result = iterative_ls_cca(
+    return iterative_ls_cca(
         x,
         y,
         k_cca,
@@ -363,7 +364,6 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
         trace=trace,
         reference=reference,
     )
-    return replace(result, seed=ling_cfg.seed)
 
 
 def g_cca(x, y, k_cca, t1, t2, seed, trace=False, reference=None):
@@ -412,7 +412,7 @@ def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
 
 
 @_metered
-def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
+def rp_cca(x, y, k_cca, k_rpcca, seed=0):
     """CCA restricted to randomized top singular bases of both sides.
 
     Computes a rank-k_rpcca orthonormal range basis per side, then an
@@ -429,12 +429,8 @@ def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
         )
     children = np.random.SeedSequence(seed).spawn(2)
     seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
-    basis_x = randomized_top_singulars(
-        x, k_rpcca, power_iters=power_iters, oversample=oversample, seed=seed_x
-    )
-    basis_y = randomized_top_singulars(
-        y, k_rpcca, power_iters=power_iters, oversample=oversample, seed=seed_y
-    )
+    basis_x = randomized_top_singulars(x, k_rpcca, seed=seed_x)
+    basis_y = randomized_top_singulars(y, k_rpcca, seed=seed_y)
     for side, basis in (("x", basis_x), ("y", basis_y)):
         if basis.rank_deficient:
             warnings.warn(
@@ -447,4 +443,4 @@ def rp_cca(x, y, k_cca, k_rpcca, power_iters=2, oversample=10, seed=0):
     u, d, vt = np.linalg.svd(basis_x.u1.T @ basis_y.u1)
     x_basis = basis_x.u1 @ u[:, :k_cca]
     y_basis = basis_y.u1 @ vt[:k_cca].T
-    return CcaResult(x_basis, y_basis, final_correlations(x_basis, y_basis), seed=seed)
+    return CcaResult(x_basis, y_basis, final_correlations(x_basis, y_basis))

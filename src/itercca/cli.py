@@ -74,17 +74,17 @@ class ConfigError(ValueError):
 class RunConfig:
     """One experiment: an algorithm, a data source, and its parameters.
 
-    Exactly one data source must be set: x/y paths with a format, a
-    synthetic recipe (path to a JSON file or a SynthSpec), or a token
-    stream (path to whitespace-separated text or a TokenDatasetSpec).
+    Exactly one data source must be set: x/y paths with a format, the
+    path to a JSON synthetic recipe, or the path to whitespace-separated
+    token text.
     """
 
     algo: str
     x: Optional[str] = None
     y: Optional[str] = None
     fmt: Optional[str] = None
-    synth_spec: Optional[object] = None
-    tokens: Optional[object] = None
+    synth_spec: Optional[str] = None
+    tokens: Optional[str] = None
     kcca: int = 20
     t1: Optional[int] = None
     t2: Optional[int] = None
@@ -161,30 +161,25 @@ def _load_dataset(config):
             meta["libsvm_inferred_cols"] = {"x": x.shape[1], "y": y.shape[1]}
         meta["source"] = "files"
     elif config.synth_spec is not None:
-        spec = config.synth_spec
-        if not isinstance(spec, SynthSpec):
-            with open(spec, encoding="utf-8") as fh:
-                try:
-                    spec = SynthSpec(**json.load(fh))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad synthetic spec {config.synth_spec}: {exc}") from exc
+        with open(config.synth_spec, encoding="utf-8") as fh:
+            try:
+                spec = SynthSpec(**json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad synthetic spec {config.synth_spec}: {exc}") from exc
         x, y, planted = synth_correlated(spec)
         meta["source"] = "synthetic"
         meta["planted_correlations"] = [float(c) for c in planted]
     else:
-        spec = config.tokens
-        if not isinstance(spec, TokenDatasetSpec):
-            with open(spec, encoding="utf-8") as fh:
-                stream = tuple(fh.read().split())
-            spec = TokenDatasetSpec(
-                tokens=stream,
-                x_vocab_limit=config.x_vocab_limit,
-                y_vocab_limit=config.y_vocab_limit,
-                x_drop_top=config.x_drop_top,
-                y_drop_top=config.y_drop_top,
-                boundary_token=config.boundary_token,
-            )
-        x, y = tokens_to_indicators(spec)
+        with open(config.tokens, encoding="utf-8") as fh:
+            stream = tuple(fh.read().split())
+        x, y = tokens_to_indicators(TokenDatasetSpec(
+            tokens=stream,
+            x_vocab_limit=config.x_vocab_limit,
+            y_vocab_limit=config.y_vocab_limit,
+            x_drop_top=config.x_drop_top,
+            y_drop_top=config.y_drop_top,
+            boundary_token=config.boundary_token,
+        ))
         meta["source"] = "tokens"
     meta.update(
         n=int(x.shape[0]), p1=int(x.shape[1]), p2=int(y.shape[1]),
@@ -244,14 +239,6 @@ def _solve(config, x, y, out=None):
         return None
 
 
-def _config_echo(config):
-    d = asdict(config)
-    tokens = d.get("tokens")
-    if isinstance(tokens, dict) and isinstance(tokens.get("tokens"), (list, tuple)):
-        tokens["tokens"] = f"<{len(tokens['tokens'])} tokens>"
-    return d
-
-
 def _fmt(v):
     return f"{v:.12g}"
 
@@ -293,7 +280,7 @@ def run(config):
         _write_trace(out / "trace.csv", result.trace)
 
     payload = {
-        "config": _config_echo(config),
+        "config": asdict(config),
         "data": meta,
         "wall_time_seconds": result.wall_time,
         "sparse_multiplies": result.work,

@@ -1,11 +1,9 @@
 """Subspace distance and convergence-rate measurement.
 
 Everything here is instrumentation: a metric between column spaces, a
-geometric-rate fit over the tail of an error curve, and the scalar summary
-(sum of captured correlations) used to compare algorithms.
+geometric-rate fit over the last half of an error curve, and the scalar
+summary (sum of captured correlations) used to compare algorithms.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,52 +40,27 @@ def subspace_dist(w, z):
     return float(min(d, 1.0))
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Geometric decay rate fitted to the tail of an error curve.
-
-    ratio is exp(slope) of log-error over the tail iterations; theoretical
-    carries the reference ratio a test compares against, margin the excess
-    it tolerates.
-    """
-
-    log_errors: np.ndarray
-    ratio: float
-    theoretical: float = field(default=float("nan"))
-    margin: float = 0.0
-
-    def within_margin(self):
-        return bool(self.ratio <= self.theoretical + self.margin)
-
-
-def fit_geometric_rate(errors, tail_fraction=0.5, theoretical=float("nan"), margin=0.0):
-    """Fit the per-iteration decay ratio over the tail of an error curve.
+def fit_geometric_rate(errors):
+    """Per-iteration decay ratio of an error curve, fitted over its last half.
 
     The head of a convergence curve is transient-dominated, so only the
-    last ceil(tail_fraction * len) points enter the least-squares slope of
-    log(error) against iteration index.  Requires at least 4 tail points,
-    all strictly positive; curves that reach exact zero must be truncated
-    by the caller first.
+    last ceil(len / 2) points enter the least-squares slope of log(error)
+    against iteration index; the ratio is exp(slope).  Requires at least 4
+    tail points, all strictly positive; curves that reach exact zero must be
+    truncated by the caller first.
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1:
         raise ValueError("errors must be a 1-d sequence")
     if np.any(errors <= 0) or not np.all(np.isfinite(errors)):
         raise ValueError("errors must be strictly positive and finite")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
 
-    n_tail = int(np.ceil(tail_fraction * errors.size))
+    n_tail = (errors.size + 1) // 2
     if n_tail < 4:
         raise ValueError(f"need >= 4 tail points, got {n_tail}")
     tail = np.log(errors[-n_tail:])
     slope = np.polynomial.polynomial.polyfit(np.arange(n_tail), tail, 1)[1]
-    return RateFit(
-        log_errors=np.log(errors),
-        ratio=float(np.exp(slope)),
-        theoretical=float(theoretical),
-        margin=float(margin),
-    )
+    return float(np.exp(slope))
 
 
 def captured_correlation_sum(result):

@@ -193,9 +193,9 @@ def _map_blocks(fn, ranges):
 def sparse_dense_mul(a, b, out=None):
     """Product a @ b of a sparse n-by-p matrix with a dense p-by-k matrix.
 
-    With `out`, a C-contiguous float64 n-by-k array, the product is
-    written into `out` and `out` is returned, bitwise equal to the product
-    made without it.
+    With `out`, a C-contiguous float64 n-by-k array that shares no memory
+    with `b`, the product is written into `out` and `out` is returned,
+    bitwise equal to the product made without it.
     """
     a = as_sparse(a)
     b = _check_dense(b)
@@ -212,6 +212,8 @@ def sparse_dense_mul(a, b, out=None):
             f"out must be a C-contiguous float64 array of shape {(n, k)}, "
             f"got {out.dtype} {out.shape}"
         )
+    if out is not None and np.may_share_memory(out, b):
+        raise ValueError("out must not share memory with b, which is read after out is zeroed")
     sparse_work.add(a.nnz * k)
     b = np.ascontiguousarray(b).reshape(-1)
     if out is None:
@@ -345,13 +347,13 @@ def well_conditioned_basis(m):
     return _householder_qr(m).q
 
 
-def rank_deficient_columns(r, rtol=RANK_RTOL):
-    """Indices i with |r_ii| below rtol times the largest diagonal entry."""
+def rank_deficient_columns(r):
+    """Indices i with |r_ii| below RANK_RTOL times the largest diagonal entry."""
     d = np.abs(np.diag(r))
     ref = d.max() if d.size else 0.0
     if ref == 0.0:
         return np.arange(d.size)
-    return np.flatnonzero(d < rtol * ref)
+    return np.flatnonzero(d < RANK_RTOL * ref)
 
 
 def gram_diagonal(a):

@@ -92,8 +92,8 @@ def gd_least_squares(x, y_r, t2):
     if x.shape[0] != y_r.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs rhs {y_r.shape}")
 
-    # One set of n-by-k buffers serves every step.
-    fitted = np.zeros_like(y_r)
+    # One set of n-by-k buffers serves every step.  Only the residual
+    # x b - y_r is carried; the fit is recovered from it at the end.
     residual = -y_r
     xg = np.empty(y_r.shape)
     for _ in range(t2):
@@ -103,9 +103,9 @@ def gd_least_squares(x, y_r, t2):
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
         np.multiply(xg, step, out=xg)
-        fitted -= xg
         residual -= xg
-    return fitted[:, 0] if squeeze else fitted
+    residual += y_r
+    return residual[:, 0] if squeeze else residual
 
 
 def ling_solve(solver, y):

@@ -11,7 +11,7 @@ integer `seed`, with standard-normal draws; identical inputs and seed give
 bitwise identical output on any platform.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,8 @@ class RangeBasis:
     """
 
     u1: np.ndarray
-    k_pc: int
-    seed: int
-    power_iters: int
-    oversample: int
-    singular_estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rank_deficient: bool = False
+    singular_estimates: np.ndarray
+    rank_deficient: bool
 
 
 def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
@@ -92,12 +88,4 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     keep = min(k, rank)
 
     u1 = q @ evecs[:, order[:keep]]
-    return RangeBasis(
-        u1=u1,
-        k_pc=k,
-        seed=seed,
-        power_iters=power_iters,
-        oversample=oversample,
-        singular_estimates=sing[:keep],
-        rank_deficient=keep < k,
-    )
+    return RangeBasis(u1=u1, singular_estimates=sing[:keep], rank_deficient=keep < k)

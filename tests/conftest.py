@@ -9,6 +9,7 @@ import numpy as np
 import scipy.linalg
 
 import itercca as ic
+from itercca.linalg import thin_qr
 
 
 def rng_for(seed):
@@ -42,8 +43,8 @@ def controlled_spectrum(n, p, spectrum, seed):
     """Matrix with exactly the given singular values and random factors."""
     spectrum = np.asarray(spectrum, dtype=np.float64)
     rng = rng_for(seed)
-    u = ic.thin_qr(rng.standard_normal((n, p))).q
-    v = ic.thin_qr(rng.standard_normal((p, p))).q
+    u = thin_qr(rng.standard_normal((n, p))).q
+    v = thin_qr(rng.standard_normal((p, p))).q
     return ic.as_sparse(u * spectrum @ v.T)
 
 

@@ -13,6 +13,8 @@ import pytest
 import scipy.linalg
 
 import itercca as ic
+from itercca.evaluation import fit_geometric_rate
+from itercca.ling import build_solver, gd_least_squares, ling_solve
 
 from conftest import (
     RATE_SPECTRUM,
@@ -79,14 +81,14 @@ def test_criterion_3_iterative_ls_convergence():
     dist_y = ic.subspace_dist(result.y_basis, oracle.y_basis)
     assert dist_x <= 1e-6 and dist_y <= 1e-6
     curve = truncate_curve(np.asarray(result.trace.dists_x), 1e-12)
-    fit = ic.fit_geometric_rate(curve, tail_fraction=0.5)
+    ratio = fit_geometric_rate(curve)
     bound = (d[5] / d[4]) ** 2 + 0.05
-    assert fit.ratio <= bound
+    assert ratio <= bound
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(
         f"criterion 3: PASS (dists {dist_x:.1e}/{dist_y:.1e} <= 1e-6, "
-        f"ratio {fit.ratio:.3f} <= {bound:.3f}, {elapsed:.2f}s)"
+        f"ratio {ratio:.3f} <= {bound:.3f}, {elapsed:.2f}s)"
     )
 
 
@@ -104,14 +106,14 @@ def test_criterion_4_gradient_rate_bounds():
             errs = []
             for t2 in range(31):
                 if k_pc == 0:
-                    fit = ic.gd_least_squares(x, y, t2)
+                    fit = gd_least_squares(x, y, t2)
                 else:
                     cfg = ic.LingConfig(k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9)
-                    fit = ic.ling_solve(ic.build_solver(x, cfg), y)
+                    fit = ling_solve(build_solver(x, cfg), y)
                 errs.append(np.linalg.norm(fit - exact) ** 2)
             curve = truncate_curve(np.asarray(errs), 1e-8)
             r = (lam[k_pc] ** 2 - lam[-1] ** 2) / (lam[k_pc] ** 2 + lam[-1] ** 2)
-            ratio = ic.fit_geometric_rate(curve, tail_fraction=0.5).ratio
+            ratio = fit_geometric_rate(curve)
             assert ratio <= r ** 2 + margin, (seed, k_pc, ratio, r ** 2 + margin)
             results[(seed, k_pc)] = ratio
         # deflation strictly accelerates whenever the spectrum drops
@@ -142,13 +144,13 @@ def test_criterion_5_budget_floors_decrease():
     assert floors[5] > floors[20] > floors[100] > 0.0
     # pre-floor decay of the generous-budget curve matches criterion 3's bound
     curve = truncate_curve(curves[100], 5e-5)
-    fit = ic.fit_geometric_rate(curve, tail_fraction=0.5)
+    ratio = fit_geometric_rate(curve)
     bound = (d[5] / d[4]) ** 2 + 0.05
-    assert fit.ratio <= bound
+    assert ratio <= bound
     print(
         "criterion 5: PASS (floors "
         f"{floors[5]:.1e} > {floors[20]:.1e} > {floors[100]:.1e}, "
-        f"rate {fit.ratio:.3f} <= {bound:.3f})"
+        f"rate {ratio:.3f} <= {bound:.3f})"
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import itercca as ic
+from itercca.linalg import gram_diagonal
 
 
 MM_IDENTITY = """%%MatrixMarket matrix coordinate real general
@@ -134,7 +135,7 @@ def test_tokens_to_indicators_bigram_counts():
     assert x.shape == (3, 3)
     assert y.shape == (3, 3)
     # first-position counts over the three bigrams: a twice, b once, c never
-    np.testing.assert_allclose(ic.gram_diagonal(x), [2.0, 1.0, 0.0], atol=0.0)
+    np.testing.assert_allclose(gram_diagonal(x), [2.0, 1.0, 0.0], atol=0.0)
     # each row is a single indicator
     np.testing.assert_allclose(x.sum(axis=1), np.ones(3), atol=0.0)
     np.testing.assert_allclose(y.sum(axis=1), np.ones(3), atol=0.0)
@@ -162,14 +163,14 @@ def test_tokens_boundary_pairs_dropped():
     x, y = ic.tokens_to_indicators(spec)
     # bigrams crossing the boundary vanish: (a,b) and (a,c) remain
     assert x.shape[0] == 2
-    assert ic.gram_diagonal(x)[0] == 2.0
+    assert gram_diagonal(x)[0] == 2.0
 
 
 def test_tokens_drop_top_removes_most_frequent():
     spec = ic.TokenDatasetSpec(tokens=("a", "b", "a", "c", "a", "b"), x_drop_top=1)
     x, y = ic.tokens_to_indicators(spec)
     # a dominates first positions and is dropped from the x vocabulary
-    assert all(ic.gram_diagonal(x) <= 2.0)
+    assert all(gram_diagonal(x) <= 2.0)
 
 
 def test_tokens_reject_degenerate_streams():

@@ -11,6 +11,15 @@ import pytest
 from scipy import sparse
 
 import itercca as ic
+from itercca.linalg import (
+    gram_diagonal,
+    rank_deficient_columns,
+    sparse_dense_mul,
+    sparse_gram,
+    sparse_transpose_dense_mul,
+    sparse_work,
+    thin_qr,
+)
 
 from conftest import naive_matmul, random_sparse, rng_for
 
@@ -40,7 +49,7 @@ def test_sparse_dense_mul_matches_naive_product():
     a = random_sparse(10, 7, 0.5, seed=0)
     b = rng_for(1).standard_normal((7, 3))
     expected = naive_matmul(a.toarray(), b)
-    np.testing.assert_allclose(ic.sparse_dense_mul(a, b), expected, atol=1e-12)
+    np.testing.assert_allclose(sparse_dense_mul(a, b), expected, atol=1e-12)
 
 
 def test_sparse_transpose_dense_mul_matches_naive_product():
@@ -48,46 +57,46 @@ def test_sparse_transpose_dense_mul_matches_naive_product():
     b = rng_for(3).standard_normal((10, 4))
     expected = naive_matmul(a.toarray().T, b)
     np.testing.assert_allclose(
-        ic.sparse_transpose_dense_mul(a, b), expected, atol=1e-12
+        sparse_transpose_dense_mul(a, b), expected, atol=1e-12
     )
 
 
 def test_sparse_mul_rejects_shape_mismatch():
     a = random_sparse(5, 4, 0.5, seed=0)
     with pytest.raises(ValueError):
-        ic.sparse_dense_mul(a, np.zeros((5, 2)))
+        sparse_dense_mul(a, np.zeros((5, 2)))
     with pytest.raises(ValueError):
-        ic.sparse_transpose_dense_mul(a, np.zeros((4, 2)))
+        sparse_transpose_dense_mul(a, np.zeros((4, 2)))
 
 
 def test_work_counter_counts_nnz_times_columns():
     a = random_sparse(12, 6, 0.4, seed=4)
-    before = ic.sparse_work.total
-    ic.sparse_dense_mul(a, np.ones((6, 3)))
-    assert ic.sparse_work.total - before == a.nnz * 3
-    before = ic.sparse_work.total
-    ic.sparse_transpose_dense_mul(a, np.ones((12, 5)))
-    assert ic.sparse_work.total - before == a.nnz * 5
+    before = sparse_work.total
+    sparse_dense_mul(a, np.ones((6, 3)))
+    assert sparse_work.total - before == a.nnz * 3
+    before = sparse_work.total
+    sparse_transpose_dense_mul(a, np.ones((12, 5)))
+    assert sparse_work.total - before == a.nnz * 5
 
 
 def test_sparse_gram_matches_naive_and_counts_row_products():
     a = random_sparse(15, 5, 0.5, seed=5)
     b = random_sparse(15, 4, 0.5, seed=6)
     expected = naive_matmul(a.toarray().T, b.toarray())
-    before = ic.sparse_work.total
-    out = ic.sparse_gram(a, b)
-    counted = ic.sparse_work.total - before
+    before = sparse_work.total
+    out = sparse_gram(a, b)
+    counted = sparse_work.total - before
     np.testing.assert_allclose(out, expected, atol=1e-12)
     row_nnz = lambda m: np.diff(m.indptr)
     assert counted == int(row_nnz(a) @ row_nnz(b))
-    np.testing.assert_allclose(ic.sparse_gram(a), a.toarray().T @ a.toarray(), atol=1e-12)
+    np.testing.assert_allclose(sparse_gram(a), a.toarray().T @ a.toarray(), atol=1e-12)
     with pytest.raises(ValueError):
-        ic.sparse_gram(a, random_sparse(14, 4, 0.5, seed=7))
+        sparse_gram(a, random_sparse(14, 4, 0.5, seed=7))
 
 
 def test_thin_qr_factors_and_sign_convention():
     m = rng_for(8).standard_normal((9, 4))
-    q, r = ic.thin_qr(m)
+    q, r = thin_qr(m)
     np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(q @ r, m, atol=1e-12)
     np.testing.assert_allclose(r, np.triu(r), atol=0.0)
@@ -96,44 +105,44 @@ def test_thin_qr_factors_and_sign_convention():
 
 def test_thin_qr_is_deterministic_and_rejects_wide_input():
     m = rng_for(9).standard_normal((6, 3))
-    q1, r1 = ic.thin_qr(m)
-    q2, r2 = ic.thin_qr(m.copy())
+    q1, r1 = thin_qr(m)
+    q2, r2 = thin_qr(m.copy())
     assert np.array_equal(q1, q2) and np.array_equal(r1, r2)
     with pytest.raises(ValueError):
-        ic.thin_qr(np.zeros((2, 5)))
+        thin_qr(np.zeros((2, 5)))
     with pytest.raises(ValueError):
-        ic.thin_qr(np.zeros((4, 0)))
+        thin_qr(np.zeros((4, 0)))
 
 
 def test_rank_deficient_columns_flags_small_diagonals():
     r = np.diag([3.0, 1e-30, 2.0])
-    assert ic.rank_deficient_columns(r).tolist() == [1]
-    assert ic.rank_deficient_columns(np.diag([1.0, 1.0])).size == 0
+    assert rank_deficient_columns(r).tolist() == [1]
+    assert rank_deficient_columns(np.diag([1.0, 1.0])).size == 0
     # all-zero factor: every column is deficient
-    assert ic.rank_deficient_columns(np.zeros((3, 3))).tolist() == [0, 1, 2]
+    assert rank_deficient_columns(np.zeros((3, 3))).tolist() == [0, 1, 2]
 
 
 def test_gram_diagonal_matches_naive_column_norms():
     a = random_sparse(20, 6, 0.4, seed=10)
     dense = a.toarray()
     expected = [sum(dense[i, j] ** 2 for i in range(20)) for j in range(6)]
-    np.testing.assert_allclose(ic.gram_diagonal(a), expected, atol=1e-12)
+    np.testing.assert_allclose(gram_diagonal(a), expected, atol=1e-12)
     empty = ic.as_sparse(np.zeros((4, 3)))
-    np.testing.assert_allclose(ic.gram_diagonal(empty), np.zeros(3), atol=0.0)
+    np.testing.assert_allclose(gram_diagonal(empty), np.zeros(3), atol=0.0)
 
 
 def test_gram_kernels_read_csc_input_as_the_matrix_it_holds():
     a = random_sparse(30, 8, 0.5, seed=36)
     csc = sparse.csc_array(a)
-    diag = ic.gram_diagonal(csc)
+    diag = gram_diagonal(csc)
     assert diag.shape == (8,)
-    assert diag.tobytes() == ic.gram_diagonal(a).tobytes()
-    before = ic.sparse_work.total
-    want = ic.sparse_gram(a)
-    csr_work = ic.sparse_work.total - before
-    before = ic.sparse_work.total
-    got = ic.sparse_gram(csc)
-    assert ic.sparse_work.total - before == csr_work
+    assert diag.tobytes() == gram_diagonal(a).tobytes()
+    before = sparse_work.total
+    want = sparse_gram(a)
+    csr_work = sparse_work.total - before
+    before = sparse_work.total
+    got = sparse_gram(csc)
+    assert sparse_work.total - before == csr_work
     assert got.tobytes() == want.tobytes()
 
 
@@ -150,21 +159,21 @@ def test_as_sparse_rejects_non_finite_values_and_counts_them():
 
 def test_work_counter_is_per_thread():
     a = random_sparse(12, 6, 0.4, seed=4)
-    ic.sparse_dense_mul(a, np.ones((6, 2)))
-    main_before = ic.sparse_work.total
+    sparse_dense_mul(a, np.ones((6, 2)))
+    main_before = sparse_work.total
     seen = []
 
     def worker():
-        seen.append(ic.sparse_work.total)
-        ic.sparse_dense_mul(a, np.ones((6, 3)))
-        seen.append(ic.sparse_work.total)
+        seen.append(sparse_work.total)
+        sparse_dense_mul(a, np.ones((6, 3)))
+        seen.append(sparse_work.total)
 
     t = threading.Thread(target=worker)
     t.start()
     t.join(timeout=30)
     assert not t.is_alive()
     assert seen == [0, a.nnz * 3]
-    assert ic.sparse_work.total == main_before
+    assert sparse_work.total == main_before
 
 
 def tall_with_condition(n, k, cond, seed):
@@ -182,7 +191,7 @@ def householder_qr(m):
 
 def test_thin_qr_tall_block_takes_cholesky_qr2():
     m = rng_for(20).standard_normal((5000, 60))
-    q, r = ic.thin_qr(m)
+    q, r = thin_qr(m)
     assert np.max(np.abs(q.T @ q - np.eye(60))) <= 1e-12
     assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
     np.testing.assert_allclose(r, np.triu(r), atol=0.0)
@@ -190,13 +199,13 @@ def test_thin_qr_tall_block_takes_cholesky_qr2():
     fast = ic.linalg._cholesky_qr2(m)
     assert fast is not None
     assert np.array_equal(q, fast.q) and np.array_equal(r, fast.r)
-    q2, r2 = ic.thin_qr(m.copy())
+    q2, r2 = thin_qr(m.copy())
     assert q.tobytes() == q2.tobytes() and r.tobytes() == r2.tobytes()
 
 
 def test_thin_qr_small_blocks_stay_householder():
     m = rng_for(21).standard_normal((999, 20))
-    q, r = ic.thin_qr(m)
+    q, r = thin_qr(m)
     hq, hr = householder_qr(m)
     assert np.array_equal(q, hq) and np.array_equal(r, hr)
 
@@ -204,7 +213,7 @@ def test_thin_qr_small_blocks_stay_householder():
 @pytest.mark.parametrize("cond, fast", [(1e5, True), (1e7, False), (1e9, False)])
 def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(cond, fast):
     m = tall_with_condition(5000, 20, cond, seed=22)
-    q, r = ic.thin_qr(m)
+    q, r = thin_qr(m)
     assert np.max(np.abs(q.T @ q - np.eye(20))) <= 1e-12
     assert np.all(np.diag(r) >= 0.0)
     assert (ic.linalg._cholesky_qr2(m) is not None) == fast
@@ -217,7 +226,7 @@ def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(cond, fa
 def test_thin_qr_accepts_blocks_just_inside_the_guard_at_full_accuracy(n, k):
     m = tall_with_condition(n, k, 0.9 * ic.linalg._CHOLQR2_MAX_COND, seed=27)
     assert ic.linalg._cholesky_qr2(m) is not None
-    q, r = ic.thin_qr(m)
+    q, r = thin_qr(m)
     assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-12
     assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
     assert np.all(np.diag(r) >= 0.0)
@@ -226,15 +235,15 @@ def test_thin_qr_accepts_blocks_just_inside_the_guard_at_full_accuracy(n, k):
 def test_thin_qr_flags_duplicated_column_like_householder():
     m = rng_for(23).standard_normal((5000, 20))
     m[:, 13] = m[:, 4]
-    _, r = ic.thin_qr(m)
-    expected = ic.rank_deficient_columns(np.linalg.qr(m)[1])
+    _, r = thin_qr(m)
+    expected = rank_deficient_columns(np.linalg.qr(m)[1])
     assert expected.tolist() == [13]
-    assert ic.rank_deficient_columns(r).tolist() == expected.tolist()
+    assert rank_deficient_columns(r).tolist() == expected.tolist()
 
 
 def test_orthonormalize_iterate_restarts_collapsed_tall_iterate():
     side = random_sparse(3000, 40, 0.05, seed=24)
-    m = ic.sparse_dense_mul(side, rng_for(25).standard_normal((40, 8)))
+    m = sparse_dense_mul(side, rng_for(25).standard_normal((40, 8)))
     m[:, 5] = m[:, 2]
     restarts = []
     q = ic.cca._orthonormalize_iterate(m, side, rng_for(26), restarts, t=3)
@@ -278,15 +287,15 @@ def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
                                     fixed_row_nnz(5000, 300, 4, seed=29)]))
     b = rng_for(31).standard_normal((300, 20))
     c = rng_for(32).standard_normal((6000, 20))
-    out = ic.sparse_dense_mul(a, b)
+    out = sparse_dense_mul(a, b)
     assert out.tobytes() == (a @ b).tobytes()
-    t = ic.sparse_transpose_dense_mul(a, c)
+    t = sparse_transpose_dense_mul(a, c)
     ref = a.T @ c
     assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert all(ic.sparse_transpose_dense_mul(a, c).tobytes() == t.tobytes() for _ in range(3))
+    assert all(sparse_transpose_dense_mul(a, c).tobytes() == t.tobytes() for _ in range(3))
     # F-ordered operands give the same bytes as C-ordered ones
-    assert ic.sparse_dense_mul(a, np.asfortranarray(b)).tobytes() == out.tobytes()
-    assert ic.sparse_transpose_dense_mul(a, np.asfortranarray(c)).tobytes() == t.tobytes()
+    assert sparse_dense_mul(a, np.asfortranarray(b)).tobytes() == out.tobytes()
+    assert sparse_transpose_dense_mul(a, np.asfortranarray(c)).tobytes() == t.tobytes()
     assert len(spy_blocks) == 7
     ranges = spy_blocks[0]
     assert len(ranges) == threads
@@ -314,10 +323,10 @@ def test_row_blocked_edge_cases(monkeypatch, spy_blocks, threads):
         for k in (1, 4):
             b = rng.standard_normal((a.shape[1], k))
             c = rng.standard_normal((a.shape[0], k))
-            out = ic.sparse_dense_mul(a, b)
+            out = sparse_dense_mul(a, b)
             assert out.shape == (a.shape[0], k)
             assert out.tobytes() == (a @ b).tobytes()
-            t = ic.sparse_transpose_dense_mul(a, c)
+            t = sparse_transpose_dense_mul(a, c)
             ref = a.T @ c
             assert t.shape == (a.shape[1], k)
             np.testing.assert_allclose(t, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref), initial=0.0))
@@ -335,9 +344,9 @@ def test_row_blocks_start_at_the_work_threshold(monkeypatch, spy_blocks):
     below = ic.as_sparse(at[: nnz - 1])
     assert at.nnz * k == ic.linalg._ROW_BLOCK_MIN_WORK and below.nnz == nnz - 1
     b = rng_for(35).standard_normal((10, k))
-    assert ic.sparse_dense_mul(below, b).tobytes() == (below @ b).tobytes()
+    assert sparse_dense_mul(below, b).tobytes() == (below @ b).tobytes()
     assert spy_blocks == []
-    assert ic.sparse_dense_mul(at, b).tobytes() == (at @ b).tobytes()
+    assert sparse_dense_mul(at, b).tobytes() == (at @ b).tobytes()
     assert len(spy_blocks) == 1
 
 
@@ -347,7 +356,7 @@ def test_row_blocks_leave_other_formats_and_dtypes_serial(monkeypatch):
     a = random_sparse(30, 8, 0.5, seed=36)
     b = rng_for(37).standard_normal((8, 3))
     for other in (sparse.csc_array(a), sparse.csr_array(a, dtype=np.float32)):
-        assert ic.sparse_dense_mul(other, b).tobytes() == (other @ b).tobytes()
+        assert sparse_dense_mul(other, b).tobytes() == (other @ b).tobytes()
 
 
 def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_blocks):
@@ -356,17 +365,17 @@ def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_bloc
     a = fixed_row_nnz(6000, 300, 20, seed=38)
     b = rng_for(39).standard_normal((300, 20))
     c = rng_for(40).standard_normal((6000, 20))
-    want_out, want_t = a @ b, ic.sparse_transpose_dense_mul(a, c)
+    want_out, want_t = a @ b, sparse_transpose_dense_mul(a, c)
     seen, bad = [], []
 
     def caller(reps):
-        before = ic.sparse_work.total
+        before = sparse_work.total
         for _ in range(reps):
-            if ic.sparse_dense_mul(a, b).tobytes() != want_out.tobytes():
+            if sparse_dense_mul(a, b).tobytes() != want_out.tobytes():
                 bad.append("a @ b")
-            if ic.sparse_transpose_dense_mul(a, c).tobytes() != want_t.tobytes():
+            if sparse_transpose_dense_mul(a, c).tobytes() != want_t.tobytes():
                 bad.append("a.T @ c")
-        seen.append((reps, ic.sparse_work.total - before))
+        seen.append((reps, sparse_work.total - before))
 
     threads = [threading.Thread(target=caller, args=(reps,)) for reps in (3, 4, 5)]
     interval = sys.getswitchinterval()
@@ -395,8 +404,8 @@ def test_sparse_dense_mul_into_out_is_bitwise_the_call_without(monkeypatch, thre
         for k in (1, 20):
             b = rng_for(42).standard_normal((a.shape[1], k))
             out = np.full((a.shape[0], k), np.nan)  # stale contents are overwritten
-            assert ic.sparse_dense_mul(a, b, out=out) is out
-            assert out.tobytes() == ic.sparse_dense_mul(a, b).tobytes()
+            assert sparse_dense_mul(a, b, out=out) is out
+            assert out.tobytes() == sparse_dense_mul(a, b).tobytes()
 
 
 def test_sparse_dense_mul_rejects_out_of_wrong_shape_dtype_or_layout():
@@ -405,7 +414,15 @@ def test_sparse_dense_mul_rejects_out_of_wrong_shape_dtype_or_layout():
     for bad in (np.empty((6, 2)), np.empty((6, 3), dtype=np.float32),
                 np.empty((6, 3), order="F")):
         with pytest.raises(ValueError, match="out must be"):
-            ic.sparse_dense_mul(a, b, out=bad)
+            sparse_dense_mul(a, b, out=bad)
+
+
+def test_sparse_dense_mul_rejects_out_sharing_memory_with_b():
+    # out is zeroed before b is read, so an aliased out would read back zeros
+    a = random_sparse(5, 5, 0.6, seed=46)
+    b = rng_for(47).standard_normal((5, 5))
+    with pytest.raises(ValueError, match="share memory"):
+        sparse_dense_mul(a, b, out=b)
 
 
 def test_as_sparse_returns_its_own_output_unchanged():

@@ -11,6 +11,9 @@ import pytest
 import scipy.linalg
 
 import itercca as ic
+from itercca.evaluation import fit_geometric_rate
+from itercca.linalg import thin_qr
+from itercca.ling import build_solver, gd_least_squares, ling_solve
 
 from conftest import (
     RATE_SPECTRUM,
@@ -45,14 +48,14 @@ def test_config_validates_fields():
 
 def test_build_solver_without_deflation_has_no_basis():
     x = random_sparse(20, 8, 0.5, seed=0)
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=0, t2=5))
+    solver = build_solver(x, ic.LingConfig(k_pc=0, t2=5))
     assert solver.basis is None
 
 
 def test_build_solver_on_identity_returns_orthonormal_pair():
     # spectrum is fully tied, so only orthonormality and width are pinned
     x = ic.as_sparse(np.eye(4))
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=2, t2=0))
+    solver = build_solver(x, ic.LingConfig(k_pc=2, t2=0))
     u1 = solver.basis.u1
     assert u1.shape == (4, 2)
     np.testing.assert_allclose(u1.T @ u1, np.eye(2), atol=1e-10)
@@ -64,7 +67,7 @@ def test_build_solver_matches_dense_top_subspace():
     evals, evecs = scipy.linalg.eigh(xd.T @ xd)
     order = np.argsort(evals)[::-1][:5]
     u_exact = xd @ evecs[:, order] / np.sqrt(evals[order])
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=5, t2=0, rsvd_power_iters=3))
+    solver = build_solver(x, ic.LingConfig(k_pc=5, t2=0, rsvd_power_iters=3))
     u1 = solver.basis.u1
     resid = max(
         scipy.linalg.svd(u_exact - u1 @ (u1.T @ u_exact), compute_uv=False)[0],
@@ -76,22 +79,22 @@ def test_build_solver_matches_dense_top_subspace():
 def test_gd_zero_rhs_stays_zero():
     x = random_sparse(15, 6, 0.5, seed=1)
     for t2 in (0, 1, 7):
-        out = ic.gd_least_squares(x, np.zeros((15, 2)), t2)
+        out = gd_least_squares(x, np.zeros((15, 2)), t2)
         assert np.all(out == 0.0)
 
 
 def test_gd_orthonormal_design_converges_in_one_step():
-    q = ic.thin_qr(rng_for(2).standard_normal((12, 4))).q
+    q = thin_qr(rng_for(2).standard_normal((12, 4))).q
     x = ic.as_sparse(q)
     y = rng_for(3).standard_normal((12, 3))
-    out = ic.gd_least_squares(x, y, 1)
+    out = gd_least_squares(x, y, 1)
     np.testing.assert_allclose(out, q @ (q.T @ y), atol=1e-10)
 
 
 def test_gd_accepts_single_column_vector():
     x = random_sparse(10, 4, 0.6, seed=4)
     y = rng_for(5).standard_normal(10)
-    out = ic.gd_least_squares(x, y, 3)
+    out = gd_least_squares(x, y, 3)
     assert out.shape == y.shape
 
 
@@ -101,9 +104,9 @@ def test_gd_rate_meets_full_spectrum_bound():
     exact = dense_projection(x, y)
     sig = scipy.linalg.svd(x.toarray(), compute_uv=False)
     r = (sig[0] ** 2 - sig[-1] ** 2) / (sig[0] ** 2 + sig[-1] ** 2)
-    errs = error_curve(lambda t2: ic.gd_least_squares(x, y, t2), exact, range(41))
-    fit = ic.fit_geometric_rate(truncate_curve(errs, 1e-8), tail_fraction=0.5)
-    assert fit.ratio <= r ** 2 + 0.02
+    errs = error_curve(lambda t2: gd_least_squares(x, y, t2), exact, range(41))
+    ratio = fit_geometric_rate(truncate_curve(errs, 1e-8))
+    assert ratio <= r ** 2 + 0.02
 
 
 def test_gd_objective_monotone_per_column():
@@ -112,7 +115,7 @@ def test_gd_objective_monotone_per_column():
     exact = dense_projection(x, y)
     prev = None
     for t2 in range(25):
-        col = np.sum((ic.gd_least_squares(x, y, t2) - exact) ** 2, axis=0)
+        col = np.sum((gd_least_squares(x, y, t2) - exact) ** 2, axis=0)
         if prev is not None:
             assert np.all(col <= prev + 1e-12)
         prev = col
@@ -123,17 +126,17 @@ def test_solve_contracts_range_orthogonal_rhs():
     q = scipy.linalg.qr(x.toarray(), mode="economic")[0]
     z = rng_for(7).standard_normal((30, 2))
     y = z - q @ (q.T @ z)
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=3, t2=10, seed=1))
-    out = ic.ling_solve(solver, y)
+    solver = build_solver(x, ic.LingConfig(k_pc=3, t2=10, seed=1))
+    out = ling_solve(solver, y)
     assert np.linalg.norm(out) <= np.linalg.norm(y)
 
 
 def test_solve_exact_when_deflation_covers_rank():
     x = random_sparse(60, 30, 0.5, seed=8)
     y = rng_for(9).standard_normal((60, 4))
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=30, t2=0, seed=2))
+    solver = build_solver(x, ic.LingConfig(k_pc=30, t2=0, seed=2))
     np.testing.assert_allclose(
-        ic.ling_solve(solver, y), dense_projection(x, y), atol=1e-8
+        ling_solve(solver, y), dense_projection(x, y), atol=1e-8
     )
 
 
@@ -146,11 +149,11 @@ def test_solve_rate_meets_deflated_bound():
 
     def solve(t2):
         cfg = ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9)
-        return ic.ling_solve(ic.build_solver(x, cfg), y)
+        return ling_solve(build_solver(x, cfg), y)
 
     errs = error_curve(solve, exact, range(31))
-    fit = ic.fit_geometric_rate(truncate_curve(errs, 1e-8), tail_fraction=0.5)
-    assert fit.ratio <= r ** 2 + 0.02
+    ratio = fit_geometric_rate(truncate_curve(errs, 1e-8))
+    assert ratio <= r ** 2 + 0.02
 
 
 def test_deflation_no_worse_than_plain_gd_on_decaying_spectrum():
@@ -161,7 +164,7 @@ def test_deflation_no_worse_than_plain_gd_on_decaying_spectrum():
         errs = {}
         for k_pc in (0, 10):
             cfg = ic.LingConfig(k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9)
-            errs[k_pc] = np.linalg.norm(ic.ling_solve(ic.build_solver(x, cfg), y) - exact)
+            errs[k_pc] = np.linalg.norm(ling_solve(build_solver(x, cfg), y) - exact)
         assert errs[10] <= errs[0]
 
 
@@ -176,9 +179,9 @@ def test_solve_is_nearly_idempotent():
     for seed in range(20):
         x = controlled_spectrum(60, 30, RATE_SPECTRUM, seed=seed)
         exact = dense_projection(x, y)
-        solver = ic.build_solver(x, ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9))
-        once = ic.ling_solve(solver, y)
-        twice = ic.ling_solve(solver, once)
+        solver = build_solver(x, ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9))
+        once = ling_solve(solver, y)
+        twice = ling_solve(solver, once)
         u1 = solver.basis.u1
         deflated = np.linalg.norm(once - u1 @ (u1.T @ once), axis=0)
         moved = np.linalg.norm(twice - once, axis=0)
@@ -193,7 +196,6 @@ def reference_ling_solve(x, basis, t2, y):
     y = np.asarray(y, dtype=np.float64)
     y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
     rhs = (y - y1).reshape(len(y), -1)
-    fitted = np.zeros_like(rhs)
     residual = -rhs.copy()
     for _ in range(t2):
         g = x.T @ residual
@@ -201,17 +203,16 @@ def reference_ling_solve(x, basis, t2, y):
         g_sq = np.einsum("ij,ij->j", g, g)
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
-        fitted -= xg * step
         residual -= xg * step
-    return y1 + fitted.reshape(y.shape)
+    return y1 + (residual + rhs).reshape(y.shape)
 
 
 @pytest.mark.parametrize("k_pc", [0, 4])
 def test_solve_matches_step_by_step_reference_bitwise(k_pc):
     x = cliff_sparse(7)
-    solver = ic.build_solver(x, ic.LingConfig(k_pc=k_pc, t2=6, seed=3))
+    solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=6, seed=3))
     for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal(60)):
-        got = ic.ling_solve(solver, y)
+        got = ling_solve(solver, y)
         assert np.array_equal(got, reference_ling_solve(x, solver.basis, 6, y))
 
 
@@ -223,7 +224,7 @@ def test_gd_steps_allocate_no_n_by_k_temporaries():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ic.gd_least_squares(x, y, t2)
+            gd_least_squares(x, y, t2)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

