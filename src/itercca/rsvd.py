@@ -1,10 +1,13 @@
 """Randomized computation of top left singular subspaces of sparse matrices.
 
-Range finder with a Gaussian test matrix, power iterations that
-normalize every intermediate iterate with one guarded Cholesky pass (the
-bare power scheme loses all but the top direction to exponent collapse),
-a full thin QR of the final iterate, and a small eigendecomposition of the
-projected Gram to order and truncate the basis.
+Range finder with a Gaussian test matrix, power iterations that keep
+their iterates well conditioned (the bare power scheme loses all but the
+top direction to exponent collapse), a full thin QR of the final n-side
+iterate, and a small eigendecomposition of the projected Gram to order
+and truncate the basis.  For a matrix with fewer columns than rows only
+the short p-side iterates are normalized, since a (a.T a)^i omega spans
+the same space whichever side is normalized (Halko, Martinsson and
+Tropp, 2011); the sparse products are the same in either case.
 
 Randomness comes from numpy's PCG64 bit generator seeded directly with the
 integer `seed`, with standard-normal draws; identical inputs and seed give
@@ -47,9 +50,10 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     k : int
         Number of basis columns requested, 1 <= k <= min(n, p).
     power_iters : int
-        Power iterations a(a.T .) applied after the initial sketch.  Each
-        intermediate iterate is kept well conditioned by
-        `well_conditioned_basis`; the final one gets a full thin QR.
+        Power iterations a.T(a .) applied to the test matrix before the
+        final sketch a w.  Each p-side iterate is kept well conditioned by
+        `well_conditioned_basis`, and so is each intermediate n-side one
+        when p >= n; the final sketch gets a full thin QR.
     oversample : int
         Extra sketch columns beyond k; the basis is truncated back to k.
     seed : int
@@ -66,11 +70,14 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     omega = rng.standard_normal((p, m))
 
-    q = sparse_dense_mul(a, omega)
+    w = omega
     for _ in range(power_iters):
-        w = well_conditioned_basis(sparse_transpose_dense_mul(a, well_conditioned_basis(q)))
         q = sparse_dense_mul(a, w)
-    q = thin_qr(q).q
+        if p >= n:
+            q = well_conditioned_basis(q)
+        w = well_conditioned_basis(sparse_transpose_dense_mul(a, q))
+        del q  # free the n-by-m iterate before the next product allocates another
+    q = thin_qr(sparse_dense_mul(a, w)).q
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the
     # sketch by singular value estimate and reveals the numerical rank.

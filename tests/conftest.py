@@ -54,6 +54,19 @@ def cliff_sparse(seed, n=60, p=30, top=5):
     return random_sparse(n, p, 0.6, seed, col_scales=scales)
 
 
+def spy_on(monkeypatch, name):
+    """Shapes of the blocks handed to ic.linalg.<name>, in call order."""
+    seen = []
+    original = getattr(ic.linalg, name)
+
+    def spy(m):
+        seen.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(ic.linalg, name, spy)
+    return seen
+
+
 def naive_matmul(a_dense, b_dense):
     """Triple-loop matrix product, the reference for the sparse kernels."""
     a_dense = np.asarray(a_dense, dtype=np.float64)

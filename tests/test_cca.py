@@ -20,6 +20,7 @@ from conftest import (
     random_sparse,
     rng_for,
     separated_instance,
+    spy_on,
 )
 
 
@@ -168,6 +169,33 @@ def test_l_cca_full_deflation_equals_randomized_projection_route():
     rp = ic.rp_cca(x, y, 5, k_rpcca=15, seed=7)
     assert ic.subspace_dist(lc.x_basis, rp.x_basis) <= 1e-8
     assert ic.subspace_dist(lc.y_basis, rp.y_basis) <= 1e-8
+
+
+def tall_zipf_pair(n=20_000, p=300, per_row=5, seed=31):
+    """x and y sharing one pattern of per_row Zipf(1.0)-drawn columns per row.
+
+    y's values are 0.8 x plus independent noise, so every column is correlated.
+    """
+    rng = rng_for(seed)
+    w = np.arange(1, p + 1, dtype=np.float64) ** -1.0
+    cols = rng.choice(p, size=(n, per_row), p=w / w.sum()).ravel()
+    rows = np.repeat(np.arange(n), per_row)
+    vx = rng.standard_normal(rows.size)
+    vy = 0.8 * vx + 0.6 * rng.standard_normal(rows.size)
+    return tuple(ic.as_sparse((v, (rows, cols)), shape=(n, p)) for v in (vx, vy))
+
+
+def test_l_cca_one_pass_cholesky_qr_matches_two_passes(monkeypatch):
+    x, y = tall_zipf_pair()
+    cfg = ic.LingConfig(k_pc=30, t2=2, seed=6)
+    passes = spy_on(monkeypatch, "_cholesky_pass")
+    one = ic.l_cca(x, y, 10, t1=4, ling_cfg=cfg)
+    one_passes = len(passes)
+    monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", 0)
+    two = ic.l_cca(x, y, 10, t1=4, ling_cfg=cfg)
+    assert 0 < one_passes < len(passes) - one_passes
+    np.testing.assert_allclose(one.correlations, two.correlations, rtol=0.0, atol=1e-12)
+    assert one.work == two.work
 
 
 def test_g_cca_is_l_cca_without_deflation_bitwise():

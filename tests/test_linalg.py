@@ -21,7 +21,7 @@ from itercca.linalg import (
     thin_qr,
 )
 
-from conftest import naive_matmul, random_sparse, rng_for
+from conftest import naive_matmul, random_sparse, rng_for, spy_on
 
 
 def test_as_sparse_sums_duplicates_and_canonicalizes():
@@ -223,11 +223,30 @@ def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(cond, fa
 
 
 @pytest.mark.parametrize("n, k", [(5000, 20), (100_000, 60)])
-def test_thin_qr_accepts_blocks_just_inside_the_guard_at_full_accuracy(n, k):
+def test_thin_qr_accepts_blocks_just_inside_the_guard_at_full_accuracy(monkeypatch, n, k):
     m = tall_with_condition(n, k, 0.9 * ic.linalg._CHOLQR2_MAX_COND, seed=27)
     assert ic.linalg._cholesky_qr2(m) is not None
+    passes = spy_on(monkeypatch, "_cholesky_pass")
     q, r = thin_qr(m)
+    assert passes == [(n, k)] * 2
     assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-12
+    assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
+    assert np.all(np.diag(r) >= 0.0)
+
+
+@pytest.mark.parametrize("n, k", [(2000, 10), (20_000, 40)])
+@pytest.mark.parametrize(
+    "cond, passes",
+    [(2.0, 1), (4.0, 1), (8.0, 1), (0.99 * ic.linalg._CHOLQR_ONE_PASS_MAX_COND, 1), (64.0, 2)],
+)
+def test_thin_qr_takes_the_second_cholesky_pass_only_above_the_one_pass_bound(
+    monkeypatch, n, k, cond, passes
+):
+    m = tall_with_condition(n, k, cond, seed=28)
+    seen = spy_on(monkeypatch, "_cholesky_pass")
+    q, r = thin_qr(m)
+    assert seen == [(n, k)] * passes
+    assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-13
     assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
     assert np.all(np.diag(r) >= 0.0)
 

@@ -5,10 +5,16 @@ import pytest
 import scipy.linalg
 
 import itercca as ic
-from itercca.linalg import thin_qr
+from itercca.linalg import (
+    sparse_dense_mul,
+    sparse_transpose_dense_mul,
+    sparse_work,
+    thin_qr,
+    well_conditioned_basis,
+)
 from itercca.rsvd import randomized_top_singulars
 
-from conftest import cliff_sparse, controlled_spectrum, random_sparse
+from conftest import cliff_sparse, controlled_spectrum, random_sparse, spy_on
 
 
 def top_left_singulars_oracle(a_sparse, k):
@@ -104,19 +110,6 @@ def test_invalid_arguments_rejected():
         randomized_top_singulars(a, 3, power_iters=-1)
 
 
-def spy_on(monkeypatch, name):
-    """Shapes of the blocks handed to ic.linalg.<name>, in call order."""
-    seen = []
-    original = getattr(ic.linalg, name)
-
-    def spy(m):
-        seen.append(m.shape)
-        return original(m)
-
-    monkeypatch.setattr(ic.linalg, name, spy)
-    return seen
-
-
 @pytest.fixture
 def qr_fallbacks(monkeypatch):
     """Blocks factored by Householder reflections, by thin_qr or as a fallback."""
@@ -124,7 +117,7 @@ def qr_fallbacks(monkeypatch):
 
 
 def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch, qr_fallbacks):
-    # both the 3,000-row iterates and the 1,200-row a.T iterates take the pass
+    # p < n: the 1,200-row a.T iterates take the pass, the 3,000-row sketch thin_qr
     scales = np.concatenate([np.full(5, 1.0), np.full(1195, 0.05)])
     a = random_sparse(3000, 1200, 0.01, seed=14, col_scales=scales)
     got = randomized_top_singulars(a, 5, power_iters=2, seed=3)
@@ -144,11 +137,67 @@ def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(monkeypatch,
     # 300 copies of 4 columns: every 1,500-row and 1,200-row iterate has rank 4
     a = ic.as_sparse(np.hstack([random_sparse(1500, 4, 0.3, seed=15).toarray()] * 300))
     basis = randomized_top_singulars(a, 6, power_iters=2, seed=0)
-    # four refused intermediate iterates, then the refused final thin_qr
-    assert qr_fallbacks == [(1500, 16), (1200, 16)] * 2 + [(1500, 16)]
+    # p < n: two refused p-side iterates, then the refused final thin_qr
+    assert qr_fallbacks == [(1200, 16), (1200, 16), (1500, 16)]
     assert guarded == qr_fallbacks  # each refused block ran the guard once
     assert basis.rank_deficient
     assert basis.u1.shape == (1500, 4)
     assert np.max(np.abs(basis.u1.T @ basis.u1 - np.eye(4))) <= 1e-12
     proj = basis.u1 @ (basis.u1.T @ a.toarray())
     np.testing.assert_allclose(proj, a.toarray(), atol=1e-10 * np.abs(a.data).max())
+
+
+def n_side_range_finder(a, k, power_iters, oversample, seed):
+    """The range finder that normalizes its n-side iterates whatever the shape of a.
+
+    Returns (u1, singular_estimates); the top k are kept, with no rank cut.
+    """
+    n, p = a.shape
+    m = min(k + oversample, n, p)
+    omega = np.random.Generator(np.random.PCG64(seed)).standard_normal((p, m))
+    q = sparse_dense_mul(a, omega)
+    for _ in range(power_iters):
+        w = well_conditioned_basis(sparse_transpose_dense_mul(a, well_conditioned_basis(q)))
+        q = sparse_dense_mul(a, w)
+    q = thin_qr(q).q
+    b = sparse_transpose_dense_mul(a, q)
+    evals, evecs = np.linalg.eigh(b.T @ b)
+    order = np.argsort(evals)[::-1][:k]
+    return q @ evecs[:, order], np.sqrt(np.maximum(evals[order], 0.0))
+
+
+def gapped_sparse(n, p, seed):
+    scales = np.concatenate([np.full(5, 1.0), np.full(p - 5, 0.05)])
+    return random_sparse(n, p, 0.01, seed=seed, col_scales=scales)
+
+
+@pytest.mark.parametrize("p", [1200, 400])
+@pytest.mark.parametrize("power_iters", [1, 3])
+def test_short_side_power_iterates_span_the_n_side_subspace(p, power_iters):
+    # p < n: 1,200-row p-side iterates take the Cholesky pass, 400-row ones Householder
+    a = gapped_sparse(3000, p, seed=17)
+    got = randomized_top_singulars(a, 5, power_iters=power_iters, seed=4)
+    ref_u1, ref_sing = n_side_range_finder(a, 5, power_iters, 10, seed=4)
+    assert not got.rank_deficient
+    assert residual_dist(got.u1, ref_u1) <= 1e-10
+    np.testing.assert_allclose(got.singular_estimates, ref_sing, rtol=1e-12)
+
+
+def test_wide_input_keeps_the_n_side_power_iterates_bitwise():
+    a = gapped_sparse(1200, 3000, seed=18)
+    got = randomized_top_singulars(a, 5, power_iters=2, seed=5)
+    ref_u1, ref_sing = n_side_range_finder(a, 5, 2, 10, seed=5)
+    assert got.u1.tobytes() == ref_u1.tobytes()
+    assert got.singular_estimates.tobytes() == ref_sing.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, p, k, power_iters",
+    [(3000, 1200, 5, 2), (1200, 3000, 5, 2), (3000, 1200, 5, 0), (40, 12, 5, 3)],
+)
+def test_range_finder_multiplies_match_the_analytic_count(n, p, k, power_iters):
+    a = random_sparse(n, p, 0.01 if n > 40 else 0.5, seed=19)
+    m = min(k + 10, n, p)
+    before = sparse_work.total
+    randomized_top_singulars(a, k, power_iters=power_iters, oversample=10, seed=0)
+    assert sparse_work.total - before == 2 * (power_iters + 1) * m * a.nnz
