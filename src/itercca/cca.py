@@ -54,6 +54,9 @@ _RIDGE_REL = 1e-8
 # Rounds of column replacement a rank-collapsed iterate gets before failing.
 _MAX_RESTARTS = 5
 
+# A side whose largest |value| lies outside 2**±_SCALE_BAND is scaled into it.
+_SCALE_BAND = 64
+
 
 class SingularGramError(ValueError):
     """A Gram matrix is numerically singular and ridge repair is off."""
@@ -140,15 +143,38 @@ def _metered(solver):
     return metered
 
 
-def _checked_pair(x, y, k_cca):
-    """Canonical x and y, after checking equal row counts and 1 <= k_cca <= min width."""
+def _band_shift(a):
+    """Exponent e putting a's largest |value| in [1, 2) as ldexp(a, e); 0 inside 2**±_SCALE_BAND.
+
+    Far from unit scale the solvers' squared norms over- or underflow.  A
+    power-of-two scale is exact and the solvers are equivariant under it
+    in the band, so the shift changes no bit of any basis or correlation.
+    """
+    if a.nnz == 0:
+        return 0
+    # largest |value| in [2**(top-1), 2**top); max and min make no nnz-sized temporary
+    top = int(np.frexp(max(a.data.max(), -a.data.min()))[1])
+    return 0 if -_SCALE_BAND < top <= _SCALE_BAND else 1 - top
+
+
+def _checked_pair(x, y, k_cca, reference=None):
+    """Canonical x and y, a side outside the band shifted into it, the other uncopied.
+
+    Checks equal row counts, 1 <= k_cca <= min width and that a given
+    reference is two n-by-k_cca arrays.
+    """
     x = as_sparse(x, name="x")
     y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
     if not 1 <= k_cca <= min(x.shape[1], y.shape[1]):
         raise ValueError(f"k_cca={k_cca} outside [1, {min(x.shape[1], y.shape[1])}]")
-    return x, y
+    if reference is not None and [np.shape(r) for r in reference] != [(x.shape[0], k_cca)] * 2:
+        raise ValueError(f"reference must be two {x.shape[0]}x{k_cca} arrays, one per side")
+    return tuple(
+        a if e == 0 else as_sparse((np.ldexp(a.data, e), a.indices, a.indptr), shape=a.shape)
+        for a, e in ((x, _band_shift(x)), (y, _band_shift(y)))
+    )
 
 
 def _inverse_sqrt_gram(c, side, ridge):
@@ -181,8 +207,12 @@ def exact_cca(x, y, k_cca, ridge=False):
     Whitens both Grams with their inverse square roots and takes the SVD
     of the whitened cross-covariance; the singular values are the
     canonical correlations, and mapping the singular vectors back through
-    the whitening factors gives the loadings.  Desk scale only.
+    the whitening factors gives the loadings.  Desk scale only.  The
+    solve runs on the band-shifted pair, and the loadings are shifted
+    back to the scale of x and y.
     """
+    x, y = as_sparse(x, name="x"), as_sparse(y, name="y")
+    shifts = (_band_shift(x), _band_shift(y))
     x, y = _checked_pair(x, y, k_cca)
     p = max(x.shape[1], y.shape[1])
     if p > MAX_ORACLE_COLS:
@@ -196,8 +226,8 @@ def exact_cca(x, y, k_cca, ridge=False):
     u, d, vt = np.linalg.svd(wx @ cxy @ wy)
     return ExactCcaFactors(
         d=d[:k_cca],
-        x_loadings=wx @ u[:, :k_cca],
-        y_loadings=wy @ vt[:k_cca].T,
+        x_loadings=np.ldexp(wx @ u[:, :k_cca], shifts[0]),
+        y_loadings=np.ldexp(wy @ vt[:k_cca].T, shifts[1]),
     )
 
 
@@ -290,10 +320,10 @@ def iterative_ls_cca(
     the iterates converge to the top-k_cca canonical subspaces.
 
     trace=True records correlation sums per outer iteration; passing
-    reference=(x_ref, y_ref) additionally records subspace distances to
-    those references.
+    reference=(x_ref, y_ref), two n-by-k_cca arrays, additionally records
+    subspace distances to those references.
     """
-    x, y = _checked_pair(x, y, k_cca)
+    x, y = _checked_pair(x, y, k_cca, reference)
     if t1 < 1:
         raise ValueError("t1 must be >= 1")
     if reference is not None:
@@ -348,7 +378,7 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     the random start and the two basis computations are derived from
     ling_cfg.seed, so one integer pins the whole run.
     """
-    x, y = _checked_pair(x, y, k_cca)
+    x, y = _checked_pair(x, y, k_cca, reference)
     children = np.random.SeedSequence(ling_cfg.seed).spawn(3)
     seed_init, seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     solver_x = build_solver(x, replace(ling_cfg, seed=seed_x))
@@ -397,7 +427,7 @@ def _diagonal_ls(a, side):
 @_metered
 def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     """Orthogonal iteration with diagonal-Gram projections per side."""
-    x, y = _checked_pair(x, y, k_cca)
+    x, y = _checked_pair(x, y, k_cca, reference)
     return iterative_ls_cca(
         x,
         y,

@@ -290,50 +290,34 @@ def _cholesky_pass(m):
     return QrFactors(m @ np.linalg.inv(r), r), cond
 
 
-def _cholesky_qr2(m):
-    """CholeskyQR2 factors of m, or None when the guard refuses the block.
-
-    A first Cholesky pass, and a second on its q only when the first r
-    is conditioned worse than _CHOLQR_ONE_PASS_MAX_COND, with r = r2 r1.
-    Orthogonality stays at rounding level only while cond(m) is well
-    below eps**-0.5 (about 7e7), which the guard on the first pass keeps;
-    the first q is then conditioned near 1, so the second pass always
-    passes the guard.
-    """
-    first = _cholesky_pass(m)
-    if first is None:
-        return None
-    factors, cond = first
-    if cond <= _CHOLQR_ONE_PASS_MAX_COND:
-        return factors
-    (q, r2), _ = _cholesky_pass(factors.q)
-    return QrFactors(q, r2 @ factors.r)
-
-
 def thin_qr(m):
     """Thin QR of a tall-skinny dense matrix, with diag(r) non-negative.
 
     Blocks with n >= 1000 rows go to CholeskyQR2 (Fukaya, Nakatsukasa,
     Yanagisawa and Yamamoto, 2014), built from matrix products and several
-    times faster than Householder on tall-skinny blocks; its second pass
-    runs only on blocks whose first Cholesky factor is conditioned worse
-    than 16, since one pass leaves q orthonormal to rounding level below
-    that.  Blocks its guard
-    refuses (Cholesky breakdown or cond above 1e6, i.e. ill-conditioned and
-    rank-deficient blocks) and all blocks under 1000 rows take Householder
-    reflections, with column signs of q flipped
-    so diag(r) is non-negative, which makes the factorization
-    deterministic.  Rank deficiency is not an error here;
-    use `rank_deficient_columns` on the returned r and decide at the caller.
+    times faster than Householder on tall-skinny blocks.  A first guarded
+    Cholesky pass gives (q1, r1); a second pass on q1 runs only when r1 is
+    conditioned worse than _CHOLQR_ONE_PASS_MAX_COND, with r = r2 r1,
+    since below that one pass already leaves q orthonormal to rounding
+    level.  The guard keeps cond(m) well below eps**-0.5, so q1 is
+    conditioned near 1 and the second pass is never refused.  Blocks the
+    guard refuses (Cholesky breakdown or cond above 1e6, i.e.
+    ill-conditioned and rank-deficient blocks) and all blocks under 1000
+    rows take Householder reflections, with column signs of q flipped so
+    diag(r) is non-negative, which makes the factorization deterministic.
+    Rank deficiency is not an error here; use `rank_deficient_columns` on
+    the returned r and decide at the caller.
     """
     m = _check_dense(m, "m")
     n, k = m.shape
     if not 1 <= k <= n:
         raise ValueError(f"thin_qr needs n >= k >= 1, got shape {m.shape}")
-    if n >= _CHOLQR2_MIN_ROWS:
-        factors = _cholesky_qr2(m)
-        if factors is not None:
-            return factors
+    if n >= _CHOLQR2_MIN_ROWS and (first := _cholesky_pass(m)) is not None:
+        (q1, r1), cond = first
+        if cond <= _CHOLQR_ONE_PASS_MAX_COND:
+            return QrFactors(q1, r1)
+        (q, r2), _ = _cholesky_pass(q1)
+        return QrFactors(q, r2 @ r1)
     return _householder_qr(m)
 
 
@@ -342,23 +326,6 @@ def _householder_qr(m):
     q, r = np.linalg.qr(m, mode="reduced")
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     return QrFactors(q * signs, r * signs[:, None])
-
-
-def well_conditioned_basis(m):
-    """A basis of range(m) with condition number near 1, cheaper than thin_qr.
-
-    For blocks of at least 1000 rows this is one guarded Cholesky pass,
-    the first half of CholeskyQR2: orthonormal to about eps * cond(m)**2,
-    enough to keep power iterates from collapsing onto their top
-    direction.  Smaller blocks, and blocks the guard refuses, get the q of
-    thin_qr's Householder factorization, without a second run of the guard.
-    """
-    if m.shape[0] >= _CHOLQR2_MIN_ROWS:
-        first = _cholesky_pass(m)
-        if first is not None:
-            factors, _ = first
-            return factors.q
-    return _householder_qr(m).q
 
 
 def rank_deficient_columns(r):

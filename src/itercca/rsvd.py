@@ -1,13 +1,13 @@
 """Randomized computation of top left singular subspaces of sparse matrices.
 
-Range finder with a Gaussian test matrix, power iterations that keep
-their iterates well conditioned (the bare power scheme loses all but the
-top direction to exponent collapse), a full thin QR of the final n-side
-iterate, and a small eigendecomposition of the projected Gram to order
-and truncate the basis.  For a matrix with fewer columns than rows only
-the short p-side iterates are normalized, since a (a.T a)^i omega spans
-the same space whichever side is normalized (Halko, Martinsson and
-Tropp, 2011); the sparse products are the same in either case.
+Range finder with a Gaussian test matrix, power iterates and a final
+sketch orthonormalized by `thin_qr` (the bare power scheme loses all but
+the top direction to exponent collapse), and a small eigendecomposition
+of the projected Gram to order and truncate the basis.  For a matrix
+with fewer columns than rows only the short p-side iterates are
+normalized, since a (a.T a)^i omega spans the same space whichever side
+is normalized (Halko, Martinsson and Tropp, 2011); the sparse products
+are the same in either case.
 
 Randomness comes from numpy's PCG64 bit generator seeded directly with the
 integer `seed`, with standard-normal draws; identical inputs and seed give
@@ -23,7 +23,6 @@ from .linalg import (
     sparse_dense_mul,
     sparse_transpose_dense_mul,
     thin_qr,
-    well_conditioned_basis,
 )
 
 
@@ -49,13 +48,15 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     a : sparse matrix, n-by-p
     k : int
         Number of basis columns requested, 1 <= k <= min(n, p).
-    power_iters : int
+    power_iters : int >= 0
         Power iterations a.T(a .) applied to the test matrix before the
-        final sketch a w.  Each p-side iterate is kept well conditioned by
-        `well_conditioned_basis`, and so is each intermediate n-side one
-        when p >= n; the final sketch gets a full thin QR.
-    oversample : int
+        final sketch a w.  Each p-side iterate goes through `thin_qr`, and
+        so does each intermediate n-side one when p >= n; with the final
+        sketch that is power_iters + 1 calls when p < n and
+        2 power_iters + 1 when p >= n.
+    oversample : int >= 0
         Extra sketch columns beyond k; the basis is truncated back to k.
+        Neither count is checked here; `LingConfig` checks both.
     seed : int
         Seed for the PCG64 generator drawing the Gaussian test matrix.
     """
@@ -63,8 +64,6 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} outside [1, min{a.shape}]")
-    if power_iters < 0 or oversample < 0:
-        raise ValueError("power_iters and oversample must be >= 0")
 
     m = min(k + oversample, n, p)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -74,8 +73,8 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     for _ in range(power_iters):
         q = sparse_dense_mul(a, w)
         if p >= n:
-            q = well_conditioned_basis(q)
-        w = well_conditioned_basis(sparse_transpose_dense_mul(a, q))
+            q = thin_qr(q).q
+        w = thin_qr(sparse_transpose_dense_mul(a, q)).q
         del q  # free the n-by-m iterate before the next product allocates another
     q = thin_qr(sparse_dense_mul(a, w)).q
 

@@ -54,16 +54,16 @@ def cliff_sparse(seed, n=60, p=30, top=5):
     return random_sparse(n, p, 0.6, seed, col_scales=scales)
 
 
-def spy_on(monkeypatch, name):
-    """Shapes of the blocks handed to ic.linalg.<name>, in call order."""
+def spy_on(monkeypatch, name, module=ic.linalg):
+    """Shapes of the blocks handed to module.<name>, in call order."""
     seen = []
-    original = getattr(ic.linalg, name)
+    original = getattr(module, name)
 
     def spy(m):
         seen.append(m.shape)
         return original(m)
 
-    monkeypatch.setattr(ic.linalg, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
 
 

@@ -378,6 +378,93 @@ def test_solvers_reject_non_finite_input_by_side(solve):
         solve(x, bad)
 
 
+SOLVERS = [
+    lambda x, y: ic.exact_cca_result(x, y, 5),
+    lambda x, y: ic.l_cca(x, y, 5, t1=3, ling_cfg=ic.LingConfig(k_pc=10, t2=2, seed=1)),
+    lambda x, y: ic.g_cca(x, y, 5, t1=3, t2=2, seed=1),
+    lambda x, y: ic.d_cca(x, y, 5, t1=3, seed=1),
+    lambda x, y: ic.rp_cca(x, y, 5, k_rpcca=20, seed=1),
+]
+SOLVER_IDS = ["exact_cca_result", "l_cca", "g_cca", "d_cca", "rp_cca"]
+
+
+def dense_gaussian_pair(n=2000, p=30, seed=40):
+    rng = rng_for(seed)
+    x = rng.standard_normal((n, p))
+    y = 0.5 * x @ rng.standard_normal((p, p)) / np.sqrt(p) + rng.standard_normal((n, p))
+    return x, y
+
+
+@pytest.mark.parametrize("solve", SOLVERS, ids=SOLVER_IDS)
+def test_solvers_are_scale_invariant_far_from_unit_scale(solve):
+    x, y = dense_gaussian_pair()
+    want = solve(x, y)
+    # powers of two scale exactly, and the solvers are equivariant inside the band
+    shifts = ((2.0**400, 2.0**-700), (2.0**-700, 2.0**400), (2.0**400, 1.0), (2.0**40, 2.0**-50))
+    for sx, sy in shifts:
+        got = solve(x * sx, y * sy)
+        assert got.x_basis.tobytes() == want.x_basis.tobytes()
+        assert got.y_basis.tobytes() == want.y_basis.tobytes()
+        assert got.correlations.tobytes() == want.correlations.tobytes()
+        assert got.work == want.work
+    for sx, sy in ((1e150, 1e-200), (1e-200, 1e150)):
+        got = solve(x * sx, y * sy)
+        for a, b in ((got.x_basis, want.x_basis), (got.y_basis, want.y_basis)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got.correlations, want.correlations, rtol=0.0, atol=1e-12)
+
+
+def test_exact_cca_maps_its_loadings_back_to_the_input_scale():
+    x, y = dense_gaussian_pair(n=300, p=8, seed=41)
+    want = ic.exact_cca(x, y, 4)
+    got = ic.exact_cca(x * 2.0**400, y * 2.0**-700, 4)
+    assert np.array_equal(got.d, want.d)
+    assert np.array_equal(got.x_loadings, np.ldexp(want.x_loadings, -400))
+    assert np.array_equal(got.y_loadings, np.ldexp(want.y_loadings, 700))
+
+
+def test_in_band_input_is_not_copied():
+    x, y = separated_instance()
+    assert all(a is b for a, b in zip(ic.cca._checked_pair(x, y, 2), (x, y)))
+    big = ic.as_sparse(x.toarray() * 2.0**65)
+    shifted, same = ic.cca._checked_pair(big, y, 2)
+    assert same is y and shifted is not big
+    assert 1.0 <= np.max(np.abs(shifted.data)) < 2.0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda x, y, ref: ic.iterative_ls_cca(
+            x, y, 3, t1=2, ls_x=exact_ls(x), ls_y=exact_ls(y), seed=0, reference=ref
+        ),
+        lambda x, y, ref: ic.l_cca(
+            x, y, 3, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=2, seed=0), reference=ref
+        ),
+        lambda x, y, ref: ic.g_cca(x, y, 3, t1=2, t2=2, seed=0, reference=ref),
+        lambda x, y, ref: ic.d_cca(x, y, 3, t1=2, seed=0, reference=ref),
+    ],
+    ids=["iterative_ls_cca", "l_cca", "g_cca", "d_cca"],
+)
+def test_iterative_solvers_check_reference_at_entry(solve):
+    x, y = separated_instance()
+    n = x.shape[0]
+    good = rng_for(42).standard_normal((n, 3))
+    bad_refs = [
+        (good, good[:, :2]),
+        (good[:-1], good[:-1]),
+        (good,),
+        (good, good, good),
+        (good[:, 0], good[:, 0]),
+    ]
+    for ref in bad_refs:
+        before = sparse_work.total
+        with pytest.raises(ValueError, match=rf"reference must be two {n}x3 arrays"):
+            solve(x, y, ref)
+        assert sparse_work.total == before  # refused before any product
+    assert len(solve(x, y, (good, good)).trace.dists_x) == 2
+
+
 def test_concurrent_solves_report_only_their_own_work():
     x, y = separated_instance()
     cfg = ic.LingConfig(k_pc=5, t2=10, seed=0)

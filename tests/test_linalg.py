@@ -189,16 +189,18 @@ def householder_qr(m):
     return q * signs, r * signs[:, None]
 
 
-def test_thin_qr_tall_block_takes_cholesky_qr2():
+def test_thin_qr_tall_block_takes_one_cholesky_pass(monkeypatch):
     m = rng_for(20).standard_normal((5000, 60))
+    passes = spy_on(monkeypatch, "_cholesky_pass")
+    fallbacks = spy_on(monkeypatch, "_householder_qr")
     q, r = thin_qr(m)
+    assert passes == [(5000, 60)] and fallbacks == []
     assert np.max(np.abs(q.T @ q - np.eye(60))) <= 1e-12
     assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
     np.testing.assert_allclose(r, np.triu(r), atol=0.0)
     assert np.all(np.diag(r) >= 0.0)
-    fast = ic.linalg._cholesky_qr2(m)
-    assert fast is not None
-    assert np.array_equal(q, fast.q) and np.array_equal(r, fast.r)
+    chol_r = np.linalg.cholesky(m.T @ m).T
+    assert np.array_equal(r, chol_r) and np.array_equal(q, m @ np.linalg.inv(chol_r))
     q2, r2 = thin_qr(m.copy())
     assert q.tobytes() == q2.tobytes() and r.tobytes() == r2.tobytes()
 
@@ -211,12 +213,15 @@ def test_thin_qr_small_blocks_stay_householder():
 
 
 @pytest.mark.parametrize("cond, fast", [(1e5, True), (1e7, False), (1e9, False)])
-def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(cond, fast):
+def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(monkeypatch, cond, fast):
     m = tall_with_condition(5000, 20, cond, seed=22)
+    passes = spy_on(monkeypatch, "_cholesky_pass")
+    fallbacks = spy_on(monkeypatch, "_householder_qr")
     q, r = thin_qr(m)
     assert np.max(np.abs(q.T @ q - np.eye(20))) <= 1e-12
     assert np.all(np.diag(r) >= 0.0)
-    assert (ic.linalg._cholesky_qr2(m) is not None) == fast
+    assert passes == [(5000, 20)] * (2 if fast else 1)
+    assert fallbacks == ([] if fast else [(5000, 20)])
     if not fast:
         hq, hr = householder_qr(m)
         assert np.array_equal(q, hq) and np.array_equal(r, hr)
@@ -225,10 +230,10 @@ def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(cond, fa
 @pytest.mark.parametrize("n, k", [(5000, 20), (100_000, 60)])
 def test_thin_qr_accepts_blocks_just_inside_the_guard_at_full_accuracy(monkeypatch, n, k):
     m = tall_with_condition(n, k, 0.9 * ic.linalg._CHOLQR2_MAX_COND, seed=27)
-    assert ic.linalg._cholesky_qr2(m) is not None
     passes = spy_on(monkeypatch, "_cholesky_pass")
+    fallbacks = spy_on(monkeypatch, "_householder_qr")
     q, r = thin_qr(m)
-    assert passes == [(n, k)] * 2
+    assert passes == [(n, k)] * 2 and fallbacks == []
     assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-12
     assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
     assert np.all(np.diag(r) >= 0.0)

@@ -10,7 +10,6 @@ from itercca.linalg import (
     sparse_transpose_dense_mul,
     sparse_work,
     thin_qr,
-    well_conditioned_basis,
 )
 from itercca.rsvd import randomized_top_singulars
 
@@ -106,8 +105,6 @@ def test_invalid_arguments_rejected():
     a = random_sparse(10, 6, 0.5, seed=13)
     with pytest.raises(ValueError):
         randomized_top_singulars(a, 0)
-    with pytest.raises(ValueError):
-        randomized_top_singulars(a, 3, power_iters=-1)
 
 
 @pytest.fixture
@@ -117,7 +114,7 @@ def qr_fallbacks(monkeypatch):
 
 
 def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch, qr_fallbacks):
-    # p < n: the 1,200-row a.T iterates take the pass, the 3,000-row sketch thin_qr
+    # p < n: the 1,200-row a.T iterates and the 3,000-row sketch take thin_qr's Cholesky path
     scales = np.concatenate([np.full(5, 1.0), np.full(1195, 0.05)])
     a = random_sparse(3000, 1200, 0.01, seed=14, col_scales=scales)
     got = randomized_top_singulars(a, 5, power_iters=2, seed=3)
@@ -125,8 +122,9 @@ def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch,
     assert qr_fallbacks == []
     assert got.u1.tobytes() == again.u1.tobytes()
     assert got.singular_estimates.tobytes() == again.singular_estimates.tobytes()
-    monkeypatch.setattr(ic.rsvd, "well_conditioned_basis", lambda m: thin_qr(m).q)
+    monkeypatch.setattr(ic.rsvd, "thin_qr", ic.linalg._householder_qr)
     ref = randomized_top_singulars(a, 5, power_iters=2, seed=3)
+    assert qr_fallbacks == [(1200, 15), (1200, 15), (3000, 15)]
     assert residual_dist(got.u1, ref.u1) <= 1e-10
     np.testing.assert_allclose(got.singular_estimates, ref.singular_estimates, rtol=1e-12)
     assert got.rank_deficient == ref.rank_deficient
@@ -157,7 +155,7 @@ def n_side_range_finder(a, k, power_iters, oversample, seed):
     omega = np.random.Generator(np.random.PCG64(seed)).standard_normal((p, m))
     q = sparse_dense_mul(a, omega)
     for _ in range(power_iters):
-        w = well_conditioned_basis(sparse_transpose_dense_mul(a, well_conditioned_basis(q)))
+        w = thin_qr(sparse_transpose_dense_mul(a, thin_qr(q).q)).q
         q = sparse_dense_mul(a, w)
     q = thin_qr(q).q
     b = sparse_transpose_dense_mul(a, q)
@@ -174,13 +172,25 @@ def gapped_sparse(n, p, seed):
 @pytest.mark.parametrize("p", [1200, 400])
 @pytest.mark.parametrize("power_iters", [1, 3])
 def test_short_side_power_iterates_span_the_n_side_subspace(p, power_iters):
-    # p < n: 1,200-row p-side iterates take the Cholesky pass, 400-row ones Householder
+    # p < n: 1,200-row p-side iterates take thin_qr's Cholesky path, 400-row ones Householder
     a = gapped_sparse(3000, p, seed=17)
     got = randomized_top_singulars(a, 5, power_iters=power_iters, seed=4)
     ref_u1, ref_sing = n_side_range_finder(a, 5, power_iters, 10, seed=4)
     assert not got.rank_deficient
     assert residual_dist(got.u1, ref_u1) <= 1e-10
     np.testing.assert_allclose(got.singular_estimates, ref_sing, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(3000, 1200), (1200, 3000), (1200, 1200)])
+@pytest.mark.parametrize("power_iters", [0, 1, 3])
+def test_every_iterate_goes_through_thin_qr_once(monkeypatch, n, p, power_iters):
+    a = random_sparse(n, p, 0.01, seed=20)
+    calls = spy_on(monkeypatch, "thin_qr", module=ic.rsvd)
+    randomized_top_singulars(a, 5, power_iters=power_iters, seed=6)
+    # the p-side iterates, plus the n-side ones when p >= n, then the final sketch
+    per_iter = [(p, 15)] if p < n else [(n, 15), (p, 15)]
+    assert calls == per_iter * power_iters + [(n, 15)]
+    assert len(calls) == (power_iters + 1 if p < n else 2 * power_iters + 1)
 
 
 def test_wide_input_keeps_the_n_side_power_iterates_bitwise():
