@@ -34,6 +34,7 @@ import numpy as np
 from .evaluation import subspace_dist
 from .linalg import (
     as_sparse,
+    check_count,
     gram_diagonal,
     rank_deficient_columns,
     sparse_dense_mul,
@@ -157,17 +158,21 @@ def _band_shift(a):
     return 0 if -_SCALE_BAND < top <= _SCALE_BAND else 1 - top
 
 
-def _checked_pair(x, y, k_cca, reference=None):
+def _checked_pair(x, y, k_cca, t1=None, reference=None):
     """Canonical x and y, a side outside the band shifted into it, the other uncopied.
 
-    Checks equal row counts, 1 <= k_cca <= min width and that a given
-    reference is two n-by-k_cca arrays.
+    Checks equal row counts, that k_cca is an integer in [1, min width],
+    that a given t1 is an integer >= 1 and that a given reference is two
+    n-by-k_cca arrays.
     """
+    check_count("k_cca", k_cca, 1)
+    if t1 is not None:
+        check_count("t1", t1, 1)
     x = as_sparse(x, name="x")
     y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
-    if not 1 <= k_cca <= min(x.shape[1], y.shape[1]):
+    if k_cca > min(x.shape[1], y.shape[1]):
         raise ValueError(f"k_cca={k_cca} outside [1, {min(x.shape[1], y.shape[1])}]")
     if reference is not None and [np.shape(r) for r in reference] != [(x.shape[0], k_cca)] * 2:
         raise ValueError(f"reference must be two {x.shape[0]}x{k_cca} arrays, one per side")
@@ -178,13 +183,19 @@ def _checked_pair(x, y, k_cca, reference=None):
 
 
 def _inverse_sqrt_gram(c, side, ridge):
-    """Inverse square root of a symmetric PSD Gram via eigendecomposition.
+    """Whitening factor w, w.T c w = I, of a symmetric PSD Gram c.
 
-    Eigenvalues below 1e-10 * trace/p mark the matrix numerically
+    c = s c1 s with s the column norms (1 for a zero-norm column) and c1
+    of unit diagonal, so the singularity test below does not depend on
+    column scale; w = s^-1 c1^(-1/2), by eigendecomposition of c1.
+    Eigenvalues of c1 below 1e-10 * trace/p mark it numerically
     singular: either an error, or (ridge=True) the whole spectrum is
     shifted up by 1e-8 * trace/p and inversion proceeds on the shifted
     matrix.
     """
+    norms = np.sqrt(np.diag(c))
+    s = np.where(norms > 0.0, norms, 1.0)
+    c = c / np.outer(s, s)
     p = c.shape[0]
     trace = float(np.trace(c))
     if trace <= 0.0:
@@ -198,13 +209,13 @@ def _inverse_sqrt_gram(c, side, ridge):
         evals = evals + _RIDGE_REL * trace / p
         if evals[0] <= 0.0:
             raise SingularGramError(side, "not repairable by ridge shift")
-    return (evecs / np.sqrt(evals)) @ evecs.T
+    return ((evecs / np.sqrt(evals)) @ evecs.T) / s[:, None]
 
 
 def exact_cca(x, y, k_cca, ridge=False):
     """Top-k_cca canonical correlations and loadings, solved exactly.
 
-    Whitens both Grams with their inverse square roots and takes the SVD
+    Whitens both Grams with inverse square-root factors and takes the SVD
     of the whitened cross-covariance; the singular values are the
     canonical correlations, and mapping the singular vectors back through
     the whitening factors gives the loadings.  Desk scale only.  The
@@ -223,7 +234,7 @@ def exact_cca(x, y, k_cca, ridge=False):
     cxy = sparse_gram(x, y)
     wx = _inverse_sqrt_gram(cxx, "x", ridge)
     wy = _inverse_sqrt_gram(cyy, "y", ridge)
-    u, d, vt = np.linalg.svd(wx @ cxy @ wy)
+    u, d, vt = np.linalg.svd(wx.T @ cxy @ wy)
     return ExactCcaFactors(
         d=d[:k_cca],
         x_loadings=np.ldexp(wx @ u[:, :k_cca], shifts[0]),
@@ -323,9 +334,7 @@ def iterative_ls_cca(
     reference=(x_ref, y_ref), two n-by-k_cca arrays, additionally records
     subspace distances to those references.
     """
-    x, y = _checked_pair(x, y, k_cca, reference)
-    if t1 < 1:
-        raise ValueError("t1 must be >= 1")
+    x, y = _checked_pair(x, y, k_cca, t1, reference)
     if reference is not None:
         trace = True
 
@@ -378,7 +387,7 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     the random start and the two basis computations are derived from
     ling_cfg.seed, so one integer pins the whole run.
     """
-    x, y = _checked_pair(x, y, k_cca, reference)
+    x, y = _checked_pair(x, y, k_cca, t1, reference)
     children = np.random.SeedSequence(ling_cfg.seed).spawn(3)
     seed_init, seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     solver_x = build_solver(x, replace(ling_cfg, seed=seed_x))
@@ -427,7 +436,7 @@ def _diagonal_ls(a, side):
 @_metered
 def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     """Orthogonal iteration with diagonal-Gram projections per side."""
-    x, y = _checked_pair(x, y, k_cca, reference)
+    x, y = _checked_pair(x, y, k_cca, t1, reference)
     return iterative_ls_cca(
         x,
         y,
@@ -452,6 +461,7 @@ def rp_cca(x, y, k_cca, k_rpcca, seed=0):
     directions is invisible to this method by construction.
     """
     x, y = _checked_pair(x, y, k_cca)
+    check_count("k_rpcca", k_rpcca, 1)
     if not k_cca <= k_rpcca <= min(x.shape[1], y.shape[1]):
         raise ValueError(
             f"need 1 <= k_cca <= k_rpcca <= {min(x.shape[1], y.shape[1])}, "

@@ -131,6 +131,12 @@ def as_sparse(a, shape=None, name="matrix"):
     return m
 
 
+def check_count(name, value, low):
+    """Raise ValueError naming `name` unless value is an int or numpy integer (no bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_dense(b, name="b"):
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:

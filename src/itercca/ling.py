@@ -15,12 +15,12 @@ testable without tuning a step size.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .linalg import as_sparse, sparse_dense_mul, sparse_transpose_dense_mul
-from .rsvd import RangeBasis, randomized_top_singulars
+from .linalg import as_sparse, check_count, sparse_dense_mul, sparse_transpose_dense_mul
+from .rsvd import OVERSAMPLE, RangeBasis, randomized_top_singulars
 
 
 @dataclass(frozen=True)
@@ -29,22 +29,20 @@ class LingConfig:
 
     k_pc = 0 disables deflation entirely (pure gradient descent); t2 = 0
     disables the descent, leaving only the projection onto the top
-    singular directions.
+    singular directions.  k_pc, t2 and rsvd_power_iters are integers
+    >= 0.  The range finder's sketch oversamples by the constant
+    `rsvd.OVERSAMPLE`, readable here as `rsvd_oversample`.
     """
 
     k_pc: int
     t2: int
     rsvd_power_iters: int = 2
-    rsvd_oversample: int = 10
     seed: int = 0
+    rsvd_oversample: ClassVar[int] = OVERSAMPLE
 
     def __post_init__(self):
-        if self.k_pc < 0:
-            raise ValueError("k_pc must be >= 0")
-        if self.t2 < 0:
-            raise ValueError("t2 must be >= 0")
-        if self.rsvd_power_iters < 0 or self.rsvd_oversample < 0:
-            raise ValueError("rsvd parameters must be >= 0")
+        for name in ("k_pc", "t2", "rsvd_power_iters"):
+            check_count(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -66,31 +64,22 @@ def build_solver(x, config):
     if config.k_pc == 0:
         return LingSolver(x=x, basis=None, config=config)
     k = min(config.k_pc, min(x.shape))
-    basis = randomized_top_singulars(
-        x,
-        k,
-        power_iters=config.rsvd_power_iters,
-        oversample=config.rsvd_oversample,
-        seed=config.seed,
-    )
+    basis = randomized_top_singulars(x, k, power_iters=config.rsvd_power_iters, seed=config.seed)
     return LingSolver(x=x, basis=basis, config=config)
 
 
 def gd_least_squares(x, y_r, t2):
     """Fitted values after t2 steepest-descent steps on |x b - y_r|^2.
 
-    Each column of y_r is fit independently from b = 0 with an exact line
-    search per step; the returned array is x b after t2 steps.  A column
-    whose gradient image x g vanishes takes a zero step, which keeps
-    rank-deficient designs from dividing by zero.
+    y_r is an n-by-k block.  Each column is fit independently from b = 0
+    with an exact line search per step; the returned n-by-k array is x b
+    after t2 steps.  A column whose gradient image x g vanishes takes a
+    zero step, which keeps rank-deficient designs from dividing by zero.
     """
     x = as_sparse(x)
     y_r = np.asarray(y_r, dtype=np.float64)
-    squeeze = y_r.ndim == 1
-    if squeeze:
-        y_r = y_r[:, None]
-    if x.shape[0] != y_r.shape[0]:
-        raise ValueError(f"row mismatch: x {x.shape} vs rhs {y_r.shape}")
+    if y_r.ndim != 2 or x.shape[0] != y_r.shape[0]:
+        raise ValueError(f"rhs must be an n-by-k block for x {x.shape}, got shape {y_r.shape}")
 
     # One set of n-by-k buffers serves every step.  Only the residual
     # x b - y_r is carried; the fit is recovered from it at the end.
@@ -105,11 +94,11 @@ def gd_least_squares(x, y_r, t2):
         np.multiply(xg, step, out=xg)
         residual -= xg
     residual += y_r
-    return residual[:, 0] if squeeze else residual
+    return residual
 
 
 def ling_solve(solver, y):
-    """Approximate the projection of y onto the column space of solver.x.
+    """Approximate the projection of an n-by-k block y onto the column space of solver.x.
 
     Splits y into its component on the precomputed singular basis (handled
     exactly) and a residual handed to gradient descent for
@@ -117,8 +106,8 @@ def ling_solve(solver, y):
     """
     x = solver.x
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] != (y.shape[0] if y.ndim else 0):
-        raise ValueError(f"row mismatch: x {x.shape} vs rhs {y.shape}")
+    if y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"rhs must be an n-by-k block for x {x.shape}, got shape {y.shape}")
 
     if solver.basis is None or solver.basis.u1.shape[1] == 0:
         return gd_least_squares(x, y, solver.config.t2)

@@ -1,13 +1,13 @@
 """Randomized computation of top left singular subspaces of sparse matrices.
 
-Range finder with a Gaussian test matrix, power iterates and a final
-sketch orthonormalized by `thin_qr` (the bare power scheme loses all but
-the top direction to exponent collapse), and a small eigendecomposition
-of the projected Gram to order and truncate the basis.  For a matrix
-with fewer columns than rows only the short p-side iterates are
-normalized, since a (a.T a)^i omega spans the same space whichever side
-is normalized (Halko, Martinsson and Tropp, 2011); the sparse products
-are the same in either case.
+Range finder with a Gaussian test matrix of k + OVERSAMPLE columns,
+power iterates and a final sketch orthonormalized by `thin_qr` (the bare
+power scheme loses all but the top direction to exponent collapse), and a
+small eigendecomposition of the projected Gram to order and truncate the
+basis back to k.  Each round trip normalizes only its p-side iterate
+a.T (a w), whatever the shape of the matrix, since a (a.T a)^i omega
+spans the same space whichever side is normalized (Halko, Martinsson and
+Tropp, 2011).
 
 Randomness comes from numpy's PCG64 bit generator seeded directly with the
 integer `seed`, with standard-normal draws; identical inputs and seed give
@@ -25,6 +25,9 @@ from .linalg import (
     thin_qr,
 )
 
+# Sketch columns drawn beyond the k requested.
+OVERSAMPLE = 10
+
 
 @dataclass(frozen=True)
 class RangeBasis:
@@ -40,23 +43,20 @@ class RangeBasis:
     rank_deficient: bool
 
 
-def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
+def randomized_top_singulars(a, k, power_iters=2, seed=0):
     """Approximate top-k left singular vectors of a sparse n-by-p matrix.
 
     Parameters
     ----------
     a : sparse matrix, n-by-p
     k : int
-        Number of basis columns requested, 1 <= k <= min(n, p).
+        Number of basis columns requested, 1 <= k <= min(n, p); the
+        sketch has min(k + OVERSAMPLE, n, p) columns.
     power_iters : int >= 0
         Power iterations a.T(a .) applied to the test matrix before the
         final sketch a w.  Each p-side iterate goes through `thin_qr`, and
-        so does each intermediate n-side one when p >= n; with the final
-        sketch that is power_iters + 1 calls when p < n and
-        2 power_iters + 1 when p >= n.
-    oversample : int >= 0
-        Extra sketch columns beyond k; the basis is truncated back to k.
-        Neither count is checked here; `LingConfig` checks both.
+        so does the final sketch: power_iters + 1 calls.  Not checked
+        here; `LingConfig` checks it.
     seed : int
         Seed for the PCG64 generator drawing the Gaussian test matrix.
     """
@@ -65,17 +65,11 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} outside [1, min{a.shape}]")
 
-    m = min(k + oversample, n, p)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    omega = rng.standard_normal((p, m))
-
-    w = omega
+    m = min(k + OVERSAMPLE, n, p)
+    w = np.random.Generator(np.random.PCG64(seed)).standard_normal((p, m))
     for _ in range(power_iters):
-        q = sparse_dense_mul(a, w)
-        if p >= n:
-            q = thin_qr(q).q
-        w = thin_qr(sparse_transpose_dense_mul(a, q)).q
-        del q  # free the n-by-m iterate before the next product allocates another
+        # the n-by-m iterate is freed before the next product allocates another
+        w = thin_qr(sparse_transpose_dense_mul(a, sparse_dense_mul(a, w))).q
     q = thin_qr(sparse_dense_mul(a, w)).q
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the
@@ -86,12 +80,9 @@ def randomized_top_singulars(a, k, power_iters=2, oversample=10, seed=0):
     evals = np.maximum(evals[order], 0.0)
     sing = np.sqrt(evals)
 
-    if sing.size and sing[0] > 0.0:
-        cutoff = sing[0] * max(n, p) * np.finfo(np.float64).eps
-        rank = int(np.count_nonzero(sing > cutoff))
-    else:
-        rank = 0
-    keep = min(k, rank)
+    # m >= 1, and when every estimate is 0 no estimate clears the cutoff
+    cutoff = sing[0] * max(n, p) * np.finfo(np.float64).eps
+    keep = min(k, int(np.count_nonzero(sing > cutoff)))
 
     u1 = q @ evecs[:, order[:keep]]
     return RangeBasis(u1=u1, singular_estimates=sing[:keep], rank_deficient=keep < k)

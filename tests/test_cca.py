@@ -171,6 +171,14 @@ def test_l_cca_full_deflation_equals_randomized_projection_route():
     assert ic.subspace_dist(lc.y_basis, rp.y_basis) <= 1e-8
 
 
+def test_l_cca_on_wide_x_with_a_full_basis_gives_unit_correlations():
+    # p >= n: range(x) is all of R^300, so the projection onto it is the identity
+    x = random_sparse(300, 800, 0.05, seed=32)
+    y = random_sparse(300, 20, 0.5, seed=33)
+    run = ic.l_cca(x, y, 5, t1=2, ling_cfg=ic.LingConfig(k_pc=300, t2=0, seed=8))
+    np.testing.assert_allclose(run.correlations, np.ones(5), rtol=0.0, atol=1e-12)
+
+
 def tall_zipf_pair(n=20_000, p=300, per_row=5, seed=31):
     """x and y sharing one pattern of per_row Zipf(1.0)-drawn columns per row.
 
@@ -465,6 +473,49 @@ def test_iterative_solvers_check_reference_at_entry(solve):
     assert len(solve(x, y, (good, good)).trace.dists_x) == 2
 
 
+@pytest.mark.parametrize(
+    "solve, name",
+    [
+        pytest.param(lambda x, y: ic.exact_cca(x, y, 2.0), "k_cca", id="exact_cca"),
+        pytest.param(lambda x, y: ic.exact_cca_result(x, y, 2.0), "k_cca", id="exact_cca_result"),
+        pytest.param(lambda x, y: ic.iterative_ls_cca(
+            x, y, 2, t1=2.0, ls_x=exact_ls(x), ls_y=exact_ls(y), seed=0), "t1",
+            id="iterative_ls_cca-t1"),
+        pytest.param(lambda x, y: ic.l_cca(
+            x, y, 2.0, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=2)), "k_cca", id="l_cca-k_cca"),
+        pytest.param(lambda x, y: ic.l_cca(
+            x, y, 2, t1="2", ling_cfg=ic.LingConfig(k_pc=3, t2=2)), "t1", id="l_cca-t1"),
+        pytest.param(lambda x, y: ic.l_cca(
+            x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=3.0, t2=2)), "k_pc", id="l_cca-k_pc"),
+        pytest.param(lambda x, y: ic.l_cca(
+            x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=1.5)), "t2", id="l_cca-t2"),
+        pytest.param(lambda x, y: ic.l_cca(
+            x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=2, rsvd_power_iters=2.0)),
+            "rsvd_power_iters", id="l_cca-rsvd_power_iters"),
+        pytest.param(lambda x, y: ic.g_cca(x, y, 2, t1=2, t2=1.5, seed=0), "t2", id="g_cca-t2"),
+        pytest.param(lambda x, y: ic.d_cca(x, y, True, t1=2, seed=0), "k_cca", id="d_cca-k_cca"),
+        pytest.param(lambda x, y: ic.d_cca(x, y, 2, t1=2.5, seed=0), "t1", id="d_cca-t1"),
+        pytest.param(lambda x, y: ic.rp_cca(x, y, 2, k_rpcca=4.0, seed=0), "k_rpcca",
+                     id="rp_cca-k_rpcca"),
+    ],
+)
+def test_integer_budgets_are_checked_at_entry(solve, name):
+    x, y = separated_instance()
+    before = sparse_work.total
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        solve(x, y)
+    assert sparse_work.total == before  # refused before any product
+
+
+def test_numpy_integer_budgets_give_the_same_run():
+    x, y = separated_instance()
+    want = ic.l_cca(x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=2))
+    cfg = ic.LingConfig(k_pc=np.int64(3), t2=np.int32(2), rsvd_power_iters=np.int64(2))
+    got = ic.l_cca(x, y, np.int64(2), t1=np.int16(2), ling_cfg=cfg)
+    assert got.correlations.tobytes() == want.correlations.tobytes()
+    assert got.work == want.work
+
+
 def test_concurrent_solves_report_only_their_own_work():
     x, y = separated_instance()
     cfg = ic.LingConfig(k_pc=5, t2=10, seed=0)
@@ -519,7 +570,7 @@ def exact_correlations(x, y, k):
     n=st.integers(24, 60),
     p1=st.integers(2, 6),
     p2=st.integers(2, 6),
-    scale_exponents=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    scale_exponents=st.lists(st.floats(-30.0, 30.0), min_size=12, max_size=12),
     signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=12, max_size=12),
 )
 def test_exact_correlations_obey_the_invariances_of_cca(
@@ -530,10 +581,12 @@ def test_exact_correlations_obey_the_invariances_of_cca(
     want = exact_correlations(x, y, k)
     perm = rng_for(seed + 1).permutation(n)
     np.testing.assert_allclose(exact_correlations(x[perm], y[perm], k), want, atol=1e-9)
-    scales = np.array(signs) * 10.0 ** np.array(scale_exponents)
+    scales = np.array(signs) * 2.0 ** np.array(scale_exponents)
     np.testing.assert_allclose(
         exact_correlations(x * scales[:p1], y * scales[p1:p1 + p2], k), want, atol=1e-9
     )
+    with pytest.raises(ic.SingularGramError):
+        exact_correlations(np.hstack([x * scales[:p1], x[:, :1] * scales[-1]]), y, k)
     np.testing.assert_allclose(exact_correlations(y, x, k), want, atol=1e-9)
 
 

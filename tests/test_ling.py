@@ -4,6 +4,8 @@ Expected values come from dense QR projections and dense SVD spectra,
 computed with scipy directly in the tests.
 """
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ import itercca as ic
 from itercca.evaluation import fit_geometric_rate
 from itercca.linalg import thin_qr
 from itercca.ling import build_solver, gd_least_squares, ling_solve
+from itercca.rsvd import OVERSAMPLE
 
 from conftest import (
     RATE_SPECTRUM,
@@ -37,13 +40,25 @@ def error_curve(solve, exact, t2_range):
 def test_config_validates_fields():
     cfg = ic.LingConfig(k_pc=3, t2=10)
     assert cfg.rsvd_power_iters == 2
-    for bad in (
-        dict(k_pc=-1, t2=5),
-        dict(k_pc=2, t2=-1),
-        dict(k_pc=2, t2=5, rsvd_power_iters=-2),
+    assert ic.LingConfig(k_pc=np.int64(3), t2=np.int32(10)) == cfg
+    for bad, name in (
+        (dict(k_pc=-1, t2=5), "k_pc"),
+        (dict(k_pc=2, t2=-1), "t2"),
+        (dict(k_pc=2, t2=5, rsvd_power_iters=-2), "rsvd_power_iters"),
+        (dict(k_pc=3.0, t2=5), "k_pc"),
+        (dict(k_pc=2, t2=1.5), "t2"),
+        (dict(k_pc=2, t2=5, rsvd_power_iters=2.0), "rsvd_power_iters"),
+        (dict(k_pc=2, t2=True), "t2"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
             ic.LingConfig(**bad)
+
+
+def test_oversampling_is_a_constant_not_a_field():
+    assert [f.name for f in dataclasses.fields(ic.LingConfig)] == [
+        "k_pc", "t2", "rsvd_power_iters", "seed"
+    ]
+    assert ic.LingConfig(k_pc=3, t2=10).rsvd_oversample == OVERSAMPLE == 10
 
 
 def test_build_solver_without_deflation_has_no_basis():
@@ -91,11 +106,20 @@ def test_gd_orthonormal_design_converges_in_one_step():
     np.testing.assert_allclose(out, q @ (q.T @ y), atol=1e-10)
 
 
-def test_gd_accepts_single_column_vector():
+def test_gd_and_solve_take_only_n_by_k_blocks():
     x = random_sparse(10, 4, 0.6, seed=4)
-    y = rng_for(5).standard_normal(10)
-    out = gd_least_squares(x, y, 3)
-    assert out.shape == y.shape
+    y = rng_for(5).standard_normal((10, 1))
+    assert gd_least_squares(x, y, 3).shape == y.shape
+    solvers = [build_solver(x, ic.LingConfig(k_pc=k_pc, t2=3)) for k_pc in (0, 2)]
+    for solver in solvers:
+        assert ling_solve(solver, y).shape == y.shape
+    for bad in (y[:, 0], y[:9], y[None]):
+        message = re.escape(f"got shape {bad.shape}")
+        with pytest.raises(ValueError, match=message):
+            gd_least_squares(x, bad, 3)
+        for solver in solvers:
+            with pytest.raises(ValueError, match=message):
+                ling_solve(solver, bad)
 
 
 def test_gd_rate_meets_full_spectrum_bound():
@@ -195,7 +219,7 @@ def reference_ling_solve(x, basis, t2, y):
     """The solve written out step by step: a zero y1 when there is no basis."""
     y = np.asarray(y, dtype=np.float64)
     y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
-    rhs = (y - y1).reshape(len(y), -1)
+    rhs = y - y1
     residual = -rhs.copy()
     for _ in range(t2):
         g = x.T @ residual
@@ -204,14 +228,14 @@ def reference_ling_solve(x, basis, t2, y):
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
         residual -= xg * step
-    return y1 + (residual + rhs).reshape(y.shape)
+    return y1 + (residual + rhs)
 
 
 @pytest.mark.parametrize("k_pc", [0, 4])
 def test_solve_matches_step_by_step_reference_bitwise(k_pc):
     x = cliff_sparse(7)
     solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=6, seed=3))
-    for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal(60)):
+    for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal((60, 1))):
         got = ling_solve(solver, y)
         assert np.array_equal(got, reference_ling_solve(x, solver.basis, 6, y))
 

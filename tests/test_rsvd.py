@@ -11,7 +11,7 @@ from itercca.linalg import (
     sparse_work,
     thin_qr,
 )
-from itercca.rsvd import randomized_top_singulars
+from itercca.rsvd import OVERSAMPLE, randomized_top_singulars
 
 from conftest import cliff_sparse, controlled_spectrum, random_sparse, spy_on
 
@@ -90,7 +90,7 @@ def test_rank_deficient_input_truncates_and_flags():
 
 def test_oversample_capped_by_matrix_size():
     a = random_sparse(12, 5, 0.8, seed=11)
-    basis = randomized_top_singulars(a, 5, power_iters=1, oversample=50, seed=0)
+    basis = randomized_top_singulars(a, 5, power_iters=1, seed=0)
     assert basis.u1.shape == (12, 5)
 
 
@@ -145,13 +145,13 @@ def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(monkeypatch,
     np.testing.assert_allclose(proj, a.toarray(), atol=1e-10 * np.abs(a.data).max())
 
 
-def n_side_range_finder(a, k, power_iters, oversample, seed):
-    """The range finder that normalizes its n-side iterates whatever the shape of a.
+def n_side_range_finder(a, k, power_iters, seed):
+    """The range finder that also normalizes its n-side iterates.
 
     Returns (u1, singular_estimates); the top k are kept, with no rank cut.
     """
     n, p = a.shape
-    m = min(k + oversample, n, p)
+    m = min(k + OVERSAMPLE, n, p)
     omega = np.random.Generator(np.random.PCG64(seed)).standard_normal((p, m))
     q = sparse_dense_mul(a, omega)
     for _ in range(power_iters):
@@ -169,13 +169,13 @@ def gapped_sparse(n, p, seed):
     return random_sparse(n, p, 0.01, seed=seed, col_scales=scales)
 
 
-@pytest.mark.parametrize("p", [1200, 400])
+@pytest.mark.parametrize("n, p", [(3000, 1200), (3000, 400), (1200, 3000), (1200, 1200)])
 @pytest.mark.parametrize("power_iters", [1, 3])
-def test_short_side_power_iterates_span_the_n_side_subspace(p, power_iters):
-    # p < n: 1,200-row p-side iterates take thin_qr's Cholesky path, 400-row ones Householder
-    a = gapped_sparse(3000, p, seed=17)
+def test_p_side_power_iterates_span_the_n_side_subspace(n, p, power_iters):
+    # p-side iterates of 1,200 rows or more take thin_qr's Cholesky path, 400-row ones Householder
+    a = gapped_sparse(n, p, seed=17)
     got = randomized_top_singulars(a, 5, power_iters=power_iters, seed=4)
-    ref_u1, ref_sing = n_side_range_finder(a, 5, power_iters, 10, seed=4)
+    ref_u1, ref_sing = n_side_range_finder(a, 5, power_iters, seed=4)
     assert not got.rank_deficient
     assert residual_dist(got.u1, ref_u1) <= 1e-10
     np.testing.assert_allclose(got.singular_estimates, ref_sing, rtol=1e-12)
@@ -187,18 +187,8 @@ def test_every_iterate_goes_through_thin_qr_once(monkeypatch, n, p, power_iters)
     a = random_sparse(n, p, 0.01, seed=20)
     calls = spy_on(monkeypatch, "thin_qr", module=ic.rsvd)
     randomized_top_singulars(a, 5, power_iters=power_iters, seed=6)
-    # the p-side iterates, plus the n-side ones when p >= n, then the final sketch
-    per_iter = [(p, 15)] if p < n else [(n, 15), (p, 15)]
-    assert calls == per_iter * power_iters + [(n, 15)]
-    assert len(calls) == (power_iters + 1 if p < n else 2 * power_iters + 1)
-
-
-def test_wide_input_keeps_the_n_side_power_iterates_bitwise():
-    a = gapped_sparse(1200, 3000, seed=18)
-    got = randomized_top_singulars(a, 5, power_iters=2, seed=5)
-    ref_u1, ref_sing = n_side_range_finder(a, 5, 2, 10, seed=5)
-    assert got.u1.tobytes() == ref_u1.tobytes()
-    assert got.singular_estimates.tobytes() == ref_sing.tobytes()
+    # the p-side iterates whatever the shape, then the final sketch
+    assert calls == [(p, 15)] * power_iters + [(n, 15)]
 
 
 @pytest.mark.parametrize(
@@ -207,7 +197,7 @@ def test_wide_input_keeps_the_n_side_power_iterates_bitwise():
 )
 def test_range_finder_multiplies_match_the_analytic_count(n, p, k, power_iters):
     a = random_sparse(n, p, 0.01 if n > 40 else 0.5, seed=19)
-    m = min(k + 10, n, p)
+    m = min(k + OVERSAMPLE, n, p)
     before = sparse_work.total
-    randomized_top_singulars(a, k, power_iters=power_iters, oversample=10, seed=0)
+    randomized_top_singulars(a, k, power_iters=power_iters, seed=0)
     assert sparse_work.total - before == 2 * (power_iters + 1) * m * a.nnz
