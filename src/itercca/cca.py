@@ -158,16 +158,18 @@ def _band_shift(a):
     return 0 if -_SCALE_BAND < top <= _SCALE_BAND else 1 - top
 
 
-def _checked_pair(x, y, k_cca, t1=None, reference=None):
+def _checked_pair(x, y, k_cca, t1=None, reference=None, seed=None):
     """Canonical x and y, a side outside the band shifted into it, the other uncopied.
 
     Checks equal row counts, that k_cca is an integer in [1, min width],
-    that a given t1 is an integer >= 1 and that a given reference is two
-    n-by-k_cca arrays.
+    that a given t1 is an integer >= 1, a given seed an integer >= 0 and
+    a given reference two n-by-k_cca arrays.
     """
     check_count("k_cca", k_cca, 1)
     if t1 is not None:
         check_count("t1", t1, 1)
+    if seed is not None:
+        check_count("seed", seed, 0)
     x = as_sparse(x, name="x")
     y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
@@ -334,7 +336,7 @@ def iterative_ls_cca(
     reference=(x_ref, y_ref), two n-by-k_cca arrays, additionally records
     subspace distances to those references.
     """
-    x, y = _checked_pair(x, y, k_cca, t1, reference)
+    x, y = _checked_pair(x, y, k_cca, t1, reference, seed)
     if reference is not None:
         trace = True
 
@@ -436,7 +438,7 @@ def _diagonal_ls(a, side):
 @_metered
 def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     """Orthogonal iteration with diagonal-Gram projections per side."""
-    x, y = _checked_pair(x, y, k_cca, t1, reference)
+    x, y = _checked_pair(x, y, k_cca, t1, reference, seed)
     return iterative_ls_cca(
         x,
         y,
@@ -460,7 +462,7 @@ def rp_cca(x, y, k_cca, k_rpcca, seed=0):
     cross product.  Correlation living outside the kept singular
     directions is invisible to this method by construction.
     """
-    x, y = _checked_pair(x, y, k_cca)
+    x, y = _checked_pair(x, y, k_cca, seed=seed)
     check_count("k_rpcca", k_rpcca, 1)
     if not k_cca <= k_rpcca <= min(x.shape[1], y.shape[1]):
         raise ValueError(

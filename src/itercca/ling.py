@@ -29,8 +29,8 @@ class LingConfig:
 
     k_pc = 0 disables deflation entirely (pure gradient descent); t2 = 0
     disables the descent, leaving only the projection onto the top
-    singular directions.  k_pc, t2 and rsvd_power_iters are integers
-    >= 0.  The range finder's sketch oversamples by the constant
+    singular directions.  k_pc, t2, rsvd_power_iters and seed are
+    integers >= 0.  The range finder's sketch oversamples by the constant
     `rsvd.OVERSAMPLE`, readable here as `rsvd_oversample`.
     """
 
@@ -41,7 +41,7 @@ class LingConfig:
     rsvd_oversample: ClassVar[int] = OVERSAMPLE
 
     def __post_init__(self):
-        for name in ("k_pc", "t2", "rsvd_power_iters"):
+        for name in ("k_pc", "t2", "rsvd_power_iters", "seed"):
             check_count(name, getattr(self, name), 0)
 
 
@@ -71,11 +71,13 @@ def build_solver(x, config):
 def gd_least_squares(x, y_r, t2):
     """Fitted values after t2 steepest-descent steps on |x b - y_r|^2.
 
-    y_r is an n-by-k block.  Each column is fit independently from b = 0
-    with an exact line search per step; the returned n-by-k array is x b
-    after t2 steps.  A column whose gradient image x g vanishes takes a
-    zero step, which keeps rank-deficient designs from dividing by zero.
+    y_r is an n-by-k block and t2 an integer >= 0.  Each column is fit
+    independently from b = 0 with an exact line search per step; the
+    returned n-by-k array is x b after t2 steps.  A column whose gradient
+    image x g vanishes takes a zero step, which keeps rank-deficient
+    designs from dividing by zero.
     """
+    check_count("t2", t2, 0)
     x = as_sparse(x)
     y_r = np.asarray(y_r, dtype=np.float64)
     if y_r.ndim != 2 or x.shape[0] != y_r.shape[0]:

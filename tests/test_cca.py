@@ -497,6 +497,17 @@ def test_iterative_solvers_check_reference_at_entry(solve):
         pytest.param(lambda x, y: ic.d_cca(x, y, 2, t1=2.5, seed=0), "t1", id="d_cca-t1"),
         pytest.param(lambda x, y: ic.rp_cca(x, y, 2, k_rpcca=4.0, seed=0), "k_rpcca",
                      id="rp_cca-k_rpcca"),
+        pytest.param(lambda x, y: ic.iterative_ls_cca(
+            x, y, 2, t1=2, ls_x=exact_ls(x), ls_y=exact_ls(y), seed=1.5), "seed",
+            id="iterative_ls_cca-seed"),
+        pytest.param(lambda x, y: ic.l_cca(
+            x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=3, t2=2, seed=-1)), "seed",
+            id="l_cca-seed"),
+        pytest.param(lambda x, y: ic.g_cca(x, y, 2, t1=2, t2=2, seed=True), "seed",
+                     id="g_cca-seed"),
+        pytest.param(lambda x, y: ic.d_cca(x, y, 2, t1=2, seed=-1), "seed", id="d_cca-seed"),
+        pytest.param(lambda x, y: ic.rp_cca(x, y, 2, k_rpcca=4, seed=1.5), "seed",
+                     id="rp_cca-seed"),
     ],
 )
 def test_integer_budgets_are_checked_at_entry(solve, name):

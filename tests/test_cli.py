@@ -142,6 +142,22 @@ def test_run_rejects_bad_data_wiring(tmp_path):
         assert cli.main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value", [("seed", 1.5), ("seed", -1), ("n", 50.5), ("p2", True), ("k_shared", -1)]
+)
+def test_run_rejects_synthetic_spec_with_bad_integers(tmp_path, capsys, field, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n": 50, "p1": 5, "p2": 5, "k_shared": 0, field: value}))
+    code = cli.main([
+        "run", "--algo", "exact", "--kcca", "2", "--synth-spec", str(spec_path),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad synthetic spec {spec_path}: {field} must be an integer >= " in err
+    assert "Traceback" not in err
+
+
 def test_run_reports_malformed_input_file(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n9 9 1.0\n")

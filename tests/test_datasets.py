@@ -126,8 +126,9 @@ def test_libsvm_rejects_malformed_input(tmp_path, text):
     with pytest.raises(ValueError) as exc:
         ic.read_libsvm(path, n_cols=5)
     assert str(path) in str(exc.value)
-    with pytest.raises(ValueError):
-        ic.read_libsvm(path, n_cols=0)
+    for n_cols in (0, True, 2.5):
+        with pytest.raises(ValueError, match="n_cols must be an integer >= 1"):
+            ic.read_libsvm(path, n_cols=n_cols)
 
 
 def test_tokens_to_indicators_bigram_counts():
@@ -182,8 +183,10 @@ def test_tokens_reject_degenerate_streams():
         ic.tokens_to_indicators(
             ic.TokenDatasetSpec(tokens=("a", "b", "a"), boundary_token="a")
         )
-    with pytest.raises(ValueError):
-        ic.TokenDatasetSpec(tokens=("a", "b"), x_vocab_limit=-1)
+    for field, value in (("x_vocab_limit", -1), ("y_vocab_limit", 2.5), ("x_drop_top", 1.5),
+                         ("y_drop_top", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            ic.TokenDatasetSpec(tokens=("a", "b"), **{field: value})
 
 
 def test_synth_recovers_strong_planted_correlation():
@@ -257,3 +260,8 @@ def test_synth_deterministic_and_validates():
     ):
         with pytest.raises(ValueError):
             ic.SynthSpec(**bad)
+    good = dict(n=10, p1=5, p2=5, k_shared=0)
+    for field, value in (("n", 50.5), ("p1", 0), ("p2", True), ("k_shared", -1),
+                         ("seed", 1.5), ("seed", -1)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            ic.SynthSpec(**{**good, field: value})

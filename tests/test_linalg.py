@@ -205,23 +205,18 @@ def test_thin_qr_tall_block_takes_one_cholesky_pass(monkeypatch):
     assert q.tobytes() == q2.tobytes() and r.tobytes() == r2.tobytes()
 
 
-def test_thin_qr_small_blocks_stay_householder():
-    m = rng_for(21).standard_normal((999, 20))
-    q, r = thin_qr(m)
-    hq, hr = householder_qr(m)
-    assert np.array_equal(q, hq) and np.array_equal(r, hr)
-
-
-@pytest.mark.parametrize("cond, fast", [(1e5, True), (1e7, False), (1e9, False)])
-def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(monkeypatch, cond, fast):
-    m = tall_with_condition(5000, 20, cond, seed=22)
+@pytest.mark.parametrize(
+    "n, cond, fast", [(5000, 1e5, True), (5000, 1e7, False), (5000, 1e9, False), (500, 1e7, False)]
+)
+def test_thin_qr_guard_sends_ill_conditioned_tall_blocks_to_householder(monkeypatch, n, cond, fast):
+    m = tall_with_condition(n, 20, cond, seed=22)
     passes = spy_on(monkeypatch, "_cholesky_pass")
     fallbacks = spy_on(monkeypatch, "_householder_qr")
     q, r = thin_qr(m)
     assert np.max(np.abs(q.T @ q - np.eye(20))) <= 1e-12
     assert np.all(np.diag(r) >= 0.0)
-    assert passes == [(5000, 20)] * (2 if fast else 1)
-    assert fallbacks == ([] if fast else [(5000, 20)])
+    assert passes == [(n, 20)] * (2 if fast else 1)
+    assert fallbacks == ([] if fast else [(n, 20)])
     if not fast:
         hq, hr = householder_qr(m)
         assert np.array_equal(q, hq) and np.array_equal(r, hr)
@@ -239,7 +234,7 @@ def test_thin_qr_accepts_blocks_just_inside_the_guard_at_full_accuracy(monkeypat
     assert np.all(np.diag(r) >= 0.0)
 
 
-@pytest.mark.parametrize("n, k", [(2000, 10), (20_000, 40)])
+@pytest.mark.parametrize("n, k", [(60, 15), (500, 60), (999, 20), (2000, 10), (20_000, 40)])
 @pytest.mark.parametrize(
     "cond, passes",
     [(2.0, 1), (4.0, 1), (8.0, 1), (0.99 * ic.linalg._CHOLQR_ONE_PASS_MAX_COND, 1), (64.0, 2)],
@@ -256,8 +251,9 @@ def test_thin_qr_takes_the_second_cholesky_pass_only_above_the_one_pass_bound(
     assert np.all(np.diag(r) >= 0.0)
 
 
-def test_thin_qr_flags_duplicated_column_like_householder():
-    m = rng_for(23).standard_normal((5000, 20))
+@pytest.mark.parametrize("n", [500, 5000])
+def test_thin_qr_flags_duplicated_column_like_householder(n):
+    m = rng_for(23).standard_normal((n, 20))
     m[:, 13] = m[:, 4]
     _, r = thin_qr(m)
     expected = rank_deficient_columns(np.linalg.qr(m)[1])

@@ -49,6 +49,9 @@ def test_config_validates_fields():
         (dict(k_pc=2, t2=1.5), "t2"),
         (dict(k_pc=2, t2=5, rsvd_power_iters=2.0), "rsvd_power_iters"),
         (dict(k_pc=2, t2=True), "t2"),
+        (dict(k_pc=2, t2=5, seed=1.5), "seed"),
+        (dict(k_pc=2, t2=5, seed=-1), "seed"),
+        (dict(k_pc=2, t2=5, seed=True), "seed"),
     ):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
             ic.LingConfig(**bad)
@@ -120,6 +123,9 @@ def test_gd_and_solve_take_only_n_by_k_blocks():
         for solver in solvers:
             with pytest.raises(ValueError, match=message):
                 ling_solve(solver, bad)
+    for t2 in (-1, 1.5):
+        with pytest.raises(ValueError, match="t2 must be an integer >= 0"):
+            gd_least_squares(x, y, t2)
 
 
 def test_gd_rate_meets_full_spectrum_bound():

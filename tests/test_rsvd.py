@@ -145,6 +145,16 @@ def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(monkeypatch,
     np.testing.assert_allclose(proj, a.toarray(), atol=1e-10 * np.abs(a.data).max())
 
 
+@pytest.mark.parametrize("n, p", [(3000, 400), (800, 300)])
+def test_p_side_iterates_under_1000_rows_take_the_cholesky_path(monkeypatch, qr_fallbacks, n, p):
+    guarded = spy_on(monkeypatch, "_cholesky_pass")
+    a = random_sparse(n, p, 0.01, seed=20)
+    randomized_top_singulars(a, 5, power_iters=2, seed=6)
+    # one accepted pass per block: two p-side iterates, then the final sketch
+    assert guarded == [(p, 15), (p, 15), (n, 15)]
+    assert qr_fallbacks == []
+
+
 def n_side_range_finder(a, k, power_iters, seed):
     """The range finder that also normalizes its n-side iterates.
 
@@ -172,7 +182,7 @@ def gapped_sparse(n, p, seed):
 @pytest.mark.parametrize("n, p", [(3000, 1200), (3000, 400), (1200, 3000), (1200, 1200)])
 @pytest.mark.parametrize("power_iters", [1, 3])
 def test_p_side_power_iterates_span_the_n_side_subspace(n, p, power_iters):
-    # p-side iterates of 1,200 rows or more take thin_qr's Cholesky path, 400-row ones Householder
+    # every p-side iterate, from 400 rows to 3,000, takes thin_qr's Cholesky path
     a = gapped_sparse(n, p, seed=17)
     got = randomized_top_singulars(a, 5, power_iters=power_iters, seed=4)
     ref_u1, ref_sing = n_side_range_finder(a, 5, power_iters, seed=4)
