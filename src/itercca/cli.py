@@ -36,7 +36,7 @@ from .datasets import (
     tokens_to_indicators,
 )
 from .evaluation import captured_correlation_sum, subspace_dist
-from .linalg import NonFiniteError
+from .linalg import NonFiniteError, check_count
 from .ling import LingConfig
 
 
@@ -64,10 +64,9 @@ _ALGOS = {
 }
 _PARAMS = tuple(dict.fromkeys(p for algo in _ALGOS.values() for p in algo.params))
 _RUN_KEYS = ("algo", *_PARAMS, "seed")
-
-
-class ConfigError(ValueError):
-    pass
+# The least value of each integer option.
+_LOWS = {"kcca": 1, "t1": 1, "t2": 0, "kpc": 0, "krpcca": 1, "seed": 0}
+_TOKEN_OPTIONS = ("x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top", "boundary_token")
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,8 @@ class RunConfig:
 
     Exactly one data source must be set: x/y paths with a format, the
     path to a JSON synthetic recipe, or the path to whitespace-separated
-    token text.
+    token text; the options of another source (y, fmt, the vocabulary
+    options, boundary_token) must be left unset.
     """
 
     algo: str
@@ -102,51 +102,43 @@ class RunConfig:
     boundary_token: Optional[str] = None
 
 
-# RunConfig fields that pick the dataset and the out directory; configs
-# under one compare share them.
-_SHARED_FIELDS = (
-    "x", "y", "fmt", "synth_spec", "tokens", "kcca", "out",
-    "x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top", "boundary_token",
-)
-
-
 def _validate(config):
     algo = _ALGOS.get(config.algo)
     if algo is None:
-        raise ConfigError(f"unknown algorithm {config.algo!r}; choose from {tuple(_ALGOS)}")
+        raise ValueError(f"unknown algorithm {config.algo!r}; choose from {tuple(_ALGOS)}")
     sources = [config.x is not None, config.synth_spec is not None, config.tokens is not None]
     if sum(sources) != 1:
-        raise ConfigError("exactly one data source required: --x/--y, --synth-spec, or --tokens")
+        raise ValueError("exactly one data source required: --x/--y, --synth-spec, or --tokens")
     if config.x is not None:
         if config.y is None:
-            raise ConfigError("--x requires --y (pass the same path for a self-comparison)")
+            raise ValueError("--x requires --y (pass the same path for a self-comparison)")
         if config.fmt not in ("mm", "libsvm"):
-            raise ConfigError("--format must be 'mm' or 'libsvm' when loading files")
-    if config.kcca < 1:
-        raise ConfigError("--kcca must be >= 1")
+            raise ValueError("--format must be 'mm' or 'libsvm' when loading files")
+    elif config.y is not None or config.fmt is not None:
+        raise ValueError("--y and --format apply only with --x")
+    for name in _TOKEN_OPTIONS:
+        if config.tokens is None and getattr(config, name) != getattr(RunConfig, name):
+            raise ValueError(f"--{name.replace('_', '-')} applies only with --tokens")
 
     for name in _PARAMS:
         value = getattr(config, name)
         if name in algo.params:
             if value is None:
-                raise ConfigError(f"--{name} is required for algorithm {config.algo!r}")
+                raise ValueError(f"--{name} is required for algorithm {config.algo!r}")
         elif value is not None:
-            raise ConfigError(f"--{name} does not apply to algorithm {config.algo!r}")
-    if config.t1 is not None and config.t1 < 1:
-        raise ConfigError("--t1 must be >= 1")
-    if config.t2 is not None and config.t2 < 0:
-        raise ConfigError("--t2 must be >= 0")
-    if config.kpc is not None and config.kpc < 0:
-        raise ConfigError("--kpc must be >= 0")
+            raise ValueError(f"--{name} does not apply to algorithm {config.algo!r}")
+    for name, low in _LOWS.items():
+        if getattr(config, name) is not None:
+            check_count(f"--{name}", getattr(config, name), low)
     if config.krpcca is not None and config.krpcca < config.kcca:
-        raise ConfigError("--krpcca must be >= --kcca")
+        raise ValueError("--krpcca must be >= --kcca")
 
     if config.trace and not algo.iterative:
-        raise ConfigError(f"--trace does not apply to algorithm {config.algo!r}")
+        raise ValueError(f"--trace does not apply to algorithm {config.algo!r}")
     if config.oracle_compare and config.algo == "exact":
-        raise ConfigError("--oracle-compare is redundant for the exact algorithm")
+        raise ValueError("--oracle-compare is redundant for the exact algorithm")
     if config.ridge and config.algo != "exact" and not config.oracle_compare:
-        raise ConfigError("--ridge applies to the exact solver (directly or via --oracle-compare)")
+        raise ValueError("--ridge applies to the exact solver (directly or via --oracle-compare)")
 
 
 def _load_dataset(config):
@@ -165,7 +157,7 @@ def _load_dataset(config):
             try:
                 spec = SynthSpec(**json.load(fh))
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad synthetic spec {config.synth_spec}: {exc}") from exc
+                raise ValueError(f"bad synthetic spec {config.synth_spec}: {exc}") from exc
         x, y, planted = synth_correlated(spec)
         meta["source"] = "synthetic"
         meta["planted_correlations"] = [float(c) for c in planted]
@@ -201,20 +193,16 @@ def _load(configs):
     made, or a file that cannot be read or parsed; 1 for non-finite values
     in the data.
     """
+    # main builds every compare config from one namespace, so they share their data.
     try:
-        if not configs:
-            raise ConfigError("compare needs at least one configuration")
         for config in configs:
-            for name in _SHARED_FIELDS:
-                if getattr(config, name) != getattr(configs[0], name):
-                    raise ConfigError(f"compare configs disagree on {name}")
             _validate(config)
         if configs[0].out:
             Path(configs[0].out).mkdir(parents=True, exist_ok=True)
         return _load_dataset(configs[0]), 0
     except NonFiniteError as exc:
         return None, _fail(exc, 1)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return None, _fail(exc, 2)
 
 
@@ -264,7 +252,7 @@ def _write_trace(path, trace):
 def run(config):
     """Execute one configuration, write its result files, return exit status."""
     if config.out is None:
-        return _fail(ConfigError("--out directory is required"), 2)
+        return _fail("--out directory is required", 2)
     data, status = _load([config])
     if status:
         return status
@@ -312,7 +300,7 @@ def _params_string(config):
 def compare(configs):
     """Run several configurations on one shared dataset; return exit status.
 
-    All configs must agree on the data source, kcca and out.  Prints one
+    The data source and out are those of configs[0].  Prints one
     table row per config: the algorithm, its parameters, work and wall
     time, the captured correlation sum, and the per-index correlations.
     With out set, also writes the rows to comparison.csv there.
@@ -402,17 +390,17 @@ def _parse_run_spec(text):
     for item in text.split(","):
         key, sep, value = (part.strip() for part in item.partition("="))
         if not sep or key not in _RUN_KEYS:
-            raise ConfigError(f"bad --run field {item!r}; keys: {','.join(_RUN_KEYS)}")
+            raise ValueError(f"bad --run field {item!r}; keys: {','.join(_RUN_KEYS)}")
         if key in spec:
-            raise ConfigError(f"--run spec {text!r} sets {key} twice")
+            raise ValueError(f"--run spec {text!r} sets {key} twice")
         if key != "algo":
             try:
                 value = int(value)
             except ValueError:
-                raise ConfigError(f"--run field {key} needs an integer, got {value!r}") from None
+                raise ValueError(f"--run field {key} needs an integer, got {value!r}") from None
         spec[key] = value
     if "algo" not in spec:
-        raise ConfigError(f"--run spec {text!r} needs algo=...")
+        raise ValueError(f"--run spec {text!r} needs algo=...")
     return spec
 
 
@@ -451,7 +439,7 @@ def main(argv=None):
         return run(_config(args))
     try:
         configs = [_config(args, **_parse_run_spec(spec)) for spec in args.runs]
-    except ConfigError as exc:
+    except ValueError as exc:
         return _fail(exc, 2)
     return compare(configs)
 

@@ -101,25 +101,42 @@ def test_run_trace_with_oracle_compare(tmp_path):
     assert len(payload["trace_seconds"]) == 8
 
 
+# Each case: the algorithm flags after a valid file-pair data source, and
+# the error message it must print.
+INCONSISTENT_CONFIGS = [
+    (["--algo", "dcca", "--t1", "5", "--t2", "3"], "--t2 does not apply"),
+    (["--algo", "lcca", "--t1", "5", "--t2", "3"], "--kpc is required"),
+    (["--algo", "lcca", "--t1", "0", "--t2", "3", "--kpc", "2"],
+     "--t1 must be an integer >= 1, got 0"),
+    (["--algo", "exact", "--trace"], "--trace does not apply"),
+    (["--algo", "exact", "--oracle-compare"], "--oracle-compare is redundant"),
+    (["--algo", "rpcca", "--krpcca", "2"], "--krpcca must be >= --kcca"),
+    (["--algo", "exact", "--ridge", "--t1", "4"], "--t1 does not apply"),
+    (["--algo", "exact", "--kcca", "0"], "--kcca must be an integer >= 1, got 0"),
+    (["--algo", "gcca", "--t1", "2", "--t2", "-1"], "--t2 must be an integer >= 0, got -1"),
+    (["--algo", "lcca", "--t1", "2", "--t2", "1", "--kpc", "-1"],
+     "--kpc must be an integer >= 0, got -1"),
+    (["--algo", "dcca", "--t1", "2", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["--algo", "lcca", "--t1", "2", "--t2", "1", "--kpc", "2", "--ridge"],
+     "--ridge applies to the exact solver"),
+    (["--algo", "exact", "--x-vocab-limit", "5"], "--x-vocab-limit applies only with --tokens"),
+    (["--algo", "exact", "--boundary-token", "."],
+     "--boundary-token applies only with --tokens"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv_tail",
-    [
-        ["--algo", "dcca", "--t1", "5", "--t2", "3"],
-        ["--algo", "lcca", "--t1", "5", "--t2", "3"],
-        ["--algo", "lcca", "--t1", "0", "--t2", "3", "--kpc", "2"],
-        ["--algo", "exact", "--trace"],
-        ["--algo", "exact", "--oracle-compare"],
-        ["--algo", "rpcca", "--krpcca", "2"],
-        ["--algo", "exact", "--ridge", "--t1", "4"],
-    ],
+    "argv_tail, message", INCONSISTENT_CONFIGS,
+    ids=[f"argv_tail{i}" for i in range(len(INCONSISTENT_CONFIGS))],
 )
-def test_run_rejects_inconsistent_configs(tmp_path, argv_tail):
+def test_run_rejects_inconsistent_configs(tmp_path, capsys, argv_tail, message):
     xp, yp = planted_mm_pair(tmp_path)
     argv = [
         "run", "--x", str(xp), "--y", str(yp), "--format", "mm",
         "--kcca", "4", "--out", str(tmp_path / "out"),
     ] + argv_tail
     assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_rejects_bad_data_wiring(tmp_path):
@@ -135,6 +152,9 @@ def test_run_rejects_bad_data_wiring(tmp_path):
         ["--x", str(xp), "--format", "mm"],
         # no data source at all
         [],
+        # a file-only option with a synthetic source
+        ["--synth-spec", str(spec_path), "--y", str(yp)],
+        ["--synth-spec", str(spec_path), "--format", "mm"],
     ]
     for tail in cases:
         argv = ["run", "--algo", "exact", "--kcca", "2",
@@ -335,6 +355,9 @@ def test_compare_rejects_malformed_run_spec(tmp_path, capsys):
     assert "sets t1 twice" in capsys.readouterr().err
     assert cli.main(base + ["--run", "algo=gcca,t1=2,t2=1.5"]) == 2
     assert "--run field t2 needs an integer, got '1.5'" in capsys.readouterr().err
+    for spec in ("algo=dcca,t1=2,seed=-1", "algo=exact,seed=-1"):
+        assert cli.main(base + ["--run", spec]) == 2
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_compare_solver_failures_exit_one_like_run(tmp_path, capsys):
@@ -350,6 +373,28 @@ def test_compare_solver_failures_exit_one_like_run(tmp_path, capsys):
         assert message in capsys.readouterr().err
         assert cli.main(["compare", *data, "--run", "algo=exact"]) == run == 1
         assert message in capsys.readouterr().err
+
+
+def test_run_writes_the_partial_trace_of_a_failed_iteration(tmp_path, monkeypatch, capsys):
+    partial = ic.ConvergenceTrace(
+        corr_sums=np.array([1.5, 1.75]), seconds=np.array([0.1, 0.2]),
+        dists_x=np.empty(0), dists_y=np.empty(0), restarts=(),
+    )
+
+    def failing_d_cca(*args, **kwargs):
+        raise ic.IterationFailure("outer iteration 3 failed: boom", partial)
+
+    monkeypatch.setattr(cli, "d_cca", failing_d_cca)
+    xp, yp = planted_mm_pair(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main([
+        "run", "--algo", "dcca", "--x", str(xp), "--y", str(yp), "--format", "mm",
+        "--kcca", "2", "--t1", "5", "--trace", "--out", str(out),
+    ])
+    assert code == 1
+    assert "outer iteration 3 failed: boom" in capsys.readouterr().err
+    assert (out / "trace.csv").read_text() == "iteration,corr_sum\n1,1.5\n2,1.75\n"
+    assert not (out / "run.json").exists()
 
 
 # Malformed libsvm files and what `itercca run --format libsvm` printed
