@@ -275,7 +275,7 @@ class QrFactors(NamedTuple):
 
 
 def _cholesky_pass(m):
-    """(QrFactors(m inv(r), r), cond(r)) with r = cholesky(m.T m).T, or None when refused.
+    """(r, cond(r)) with r = cholesky(m.T m).T, or None when refused.
 
     The guard refuses m when Cholesky breaks down or r is worse
     conditioned than _CHOLQR2_MAX_COND.  Cholesky factors have a positive
@@ -291,7 +291,7 @@ def _cholesky_pass(m):
     cond = np.linalg.cond(r)
     if not cond <= _CHOLQR2_MAX_COND:
         return None
-    return QrFactors(m @ np.linalg.inv(r), r), cond
+    return r, cond
 
 
 def thin_qr(m):
@@ -299,29 +299,44 @@ def thin_qr(m):
 
     CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014),
     built from matrix products, factors blocks of every height: a first
-    guarded Cholesky pass gives (q1, r1), and a second pass on q1 runs
-    only when r1 is conditioned worse than _CHOLQR_ONE_PASS_MAX_COND,
-    with r = r2 r1, since below that one pass already leaves q
-    orthonormal to rounding level.  The guard keeps cond(m) well below
-    eps**-0.5, so q1 is conditioned near 1 and the second pass is never
-    refused.  Blocks the guard refuses (Cholesky breakdown or cond above
-    1e6, which includes every rank-deficient block) take Householder
-    reflections, with column signs of q flipped so diag(r) is
-    non-negative, which makes the factorization deterministic.  Rank
-    deficiency is not an error here; use `rank_deficient_columns` on the
-    returned r and decide at the caller.
+    guarded Cholesky pass gives r1 and q1 = m inv(r1), and a second pass
+    on q1 runs only when r1 is conditioned worse than
+    _CHOLQR_ONE_PASS_MAX_COND, with r = r2 r1, since below that one pass
+    already leaves q orthonormal to rounding level.  The guard keeps
+    cond(m) well below eps**-0.5, so q1 is conditioned near 1 and the
+    second pass is never refused.  Blocks the guard refuses (Cholesky
+    breakdown or cond above 1e6, which includes every rank-deficient
+    block) take Householder reflections, with column signs of q flipped
+    so diag(r) is non-negative, which makes the factorization
+    deterministic.  Rank deficiency is not an error here; use
+    `rank_deficient_columns` on the returned r and decide at the caller.
+    """
+    m = _check_dense(m, "m")
+    q, r = thin_qr_deferred(m)
+    if q is None:
+        q = m @ np.linalg.inv(r)
+    return QrFactors(q, r)
+
+
+def thin_qr_deferred(m):
+    """`thin_qr(m)`, except that q is None when one Cholesky pass gives it.
+
+    That q is m inv(r), left for the caller to form, or to avoid forming
+    by applying inv(r) to the small side of a product instead.  On every
+    other path, and always for r, the factors are `thin_qr`'s.
     """
     m = _check_dense(m, "m")
     n, k = m.shape
     if not 1 <= k <= n:
         raise ValueError(f"thin_qr needs n >= k >= 1, got shape {m.shape}")
-    if (first := _cholesky_pass(m)) is not None:
-        (q1, r1), cond = first
-        if cond <= _CHOLQR_ONE_PASS_MAX_COND:
-            return QrFactors(q1, r1)
-        (q, r2), _ = _cholesky_pass(q1)
-        return QrFactors(q, r2 @ r1)
-    return _householder_qr(m)
+    if (first := _cholesky_pass(m)) is None:
+        return _householder_qr(m)
+    r1, cond = first
+    if cond <= _CHOLQR_ONE_PASS_MAX_COND:
+        return QrFactors(None, r1)
+    q1 = m @ np.linalg.inv(r1)
+    r2, _ = _cholesky_pass(q1)
+    return QrFactors(q1 @ np.linalg.inv(r2), r2 @ r1)
 
 
 def _householder_qr(m):

@@ -12,6 +12,14 @@ The descent is steepest descent with an exact per-column line search
 (step = |g|^2 / |x g|^2 for gradient g = x.T (x b - y)); its classical
 convergence ratio matches the advertised r exactly, so the rate is
 testable without tuning a step size.
+
+A solve holds two n-by-k arrays: the descent's residual x b - (y - y1),
+which starts at y1 - y written over the projection y1 = u1 (u1.T y), and
+one buffer for x g.  The fit is that residual plus y.  The projection
+stays an n-side product: the descent amplifies rounding in its first
+gradient several-fold per step when the spectrum past k_pc is poorly
+separated, and forming y1 and that gradient from p-side coefficients
+instead made six-step solves two to six times less accurate.
 """
 
 from dataclasses import dataclass
@@ -68,25 +76,22 @@ def build_solver(x, config):
     return LingSolver(x=x, basis=basis, config=config)
 
 
-def gd_least_squares(x, y_r, t2):
-    """Fitted values after t2 steepest-descent steps on |x b - y_r|^2.
+def _check_rhs(x, y):
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"rhs must be an n-by-k block for x {x.shape}, got shape {y.shape}")
+    return y
 
-    y_r is an n-by-k block and t2 an integer >= 0.  Each column is fit
-    independently from b = 0 with an exact line search per step; the
-    returned n-by-k array is x b after t2 steps.  A column whose gradient
-    image x g vanishes takes a zero step, which keeps rank-deficient
-    designs from dividing by zero.
+
+def _descend(x, residual, t2):
+    """Take t2 line-search steps on the residual x b - y_r, updated in place.
+
+    The descent starts from b = 0, so `residual` enters as -y_r.  One
+    n-by-k buffer holds x g at every step.  A column whose gradient image
+    x g vanishes takes a zero step, which keeps rank-deficient designs
+    from dividing by zero.
     """
-    check_count("t2", t2, 0)
-    x = as_sparse(x)
-    y_r = np.asarray(y_r, dtype=np.float64)
-    if y_r.ndim != 2 or x.shape[0] != y_r.shape[0]:
-        raise ValueError(f"rhs must be an n-by-k block for x {x.shape}, got shape {y_r.shape}")
-
-    # One set of n-by-k buffers serves every step.  Only the residual
-    # x b - y_r is carried; the fit is recovered from it at the end.
-    residual = -y_r
-    xg = np.empty(y_r.shape)
+    xg = np.empty(residual.shape)
     for _ in range(t2):
         g = sparse_transpose_dense_mul(x, residual)
         sparse_dense_mul(x, g, out=xg)
@@ -95,6 +100,22 @@ def gd_least_squares(x, y_r, t2):
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
         np.multiply(xg, step, out=xg)
         residual -= xg
+
+
+def gd_least_squares(x, y_r, t2):
+    """Fitted values after t2 steepest-descent steps on |x b - y_r|^2.
+
+    y_r is an n-by-k block and t2 an integer >= 0.  Each column is fit
+    independently from b = 0 with an exact line search per step; the
+    returned n-by-k array is x b after t2 steps.  A column whose gradient
+    image x g vanishes takes a zero step.
+    """
+    check_count("t2", t2, 0)
+    x = as_sparse(x)
+    y_r = _check_rhs(x, y_r)
+    # Only the residual is carried; the fit is recovered from it at the end.
+    residual = np.negative(y_r)
+    _descend(x, residual, t2)
     residual += y_r
     return residual
 
@@ -102,19 +123,23 @@ def gd_least_squares(x, y_r, t2):
 def ling_solve(solver, y):
     """Approximate the projection of an n-by-k block y onto the column space of solver.x.
 
-    Splits y into its component on the precomputed singular basis (handled
-    exactly) and a residual handed to gradient descent for
+    Splits y into its component y1 on the precomputed singular basis
+    (handled exactly) and a residual y - y1 handed to gradient descent for
     solver.config.t2 steps.
     """
     x = solver.x
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"rhs must be an n-by-k block for x {x.shape}, got shape {y.shape}")
-
-    if solver.basis is None or solver.basis.u1.shape[1] == 0:
-        return gd_least_squares(x, y, solver.config.t2)
+    y = _check_rhs(x, y)
+    t2 = solver.config.t2
+    if solver.basis is None:
+        return gd_least_squares(x, y, t2)
     u1 = solver.basis.u1
     y1 = u1 @ (u1.T @ y)
-    out = gd_least_squares(x, y - y1, solver.config.t2)
-    out += y1
-    return out
+    if t2 == 0:
+        return y1
+    # The descent on y - y1 starts from its negation, y1 - y, written over
+    # y1, and its final residual x b - (y - y1) is the fit y1 + x b minus y.
+    residual = y1
+    residual -= y
+    _descend(x, residual, t2)
+    residual += y
+    return residual

@@ -1,13 +1,19 @@
 """Randomized computation of top left singular subspaces of sparse matrices.
 
 Range finder with a Gaussian test matrix of k + OVERSAMPLE columns,
-power iterates and a final sketch orthonormalized by `thin_qr` (the bare
+power iterates and a final sketch orthonormalized by thin QR (the bare
 power scheme loses all but the top direction to exponent collapse), and a
 small eigendecomposition of the projected Gram to order and truncate the
 basis back to k.  Each round trip normalizes only its p-side iterate
 a.T (a w), whatever the shape of the matrix, since a (a.T a)^i omega
 spans the same space whichever side is normalized (Halko, Martinsson and
 Tropp, 2011).
+
+The final sketch z = a w goes through `thin_qr_deferred`.  When one
+Cholesky pass orthonormalizes it, q = z inv(r) is never formed: the
+projection a.T q is (a.T z) inv(r), and inv(r) is folded into the
+eigenvectors E that pick the basis out of the sketch, so the only dense
+n-side product is u1 = z (inv(r) E).
 
 Randomness comes from numpy's PCG64 bit generator seeded directly with the
 integer `seed`, with standard-normal draws; identical inputs and seed give
@@ -23,6 +29,7 @@ from .linalg import (
     sparse_dense_mul,
     sparse_transpose_dense_mul,
     thin_qr,
+    thin_qr_deferred,
 )
 
 # Sketch columns drawn beyond the k requested.
@@ -55,8 +62,9 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
     power_iters : int >= 0
         Power iterations a.T(a .) applied to the test matrix before the
         final sketch a w.  Each p-side iterate goes through `thin_qr`, and
-        so does the final sketch: power_iters + 1 calls.  Not checked
-        here; `LingConfig` checks it.
+        the final sketch through `thin_qr_deferred`.  Either way the call
+        makes 2 (power_iters + 1) sparse products.  Not checked here;
+        `LingConfig` checks it.
     seed : int
         Seed for the PCG64 generator drawing the Gaussian test matrix.
     """
@@ -70,11 +78,19 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
     for _ in range(power_iters):
         # the n-by-m iterate is freed before the next product allocates another
         w = thin_qr(sparse_transpose_dense_mul(a, sparse_dense_mul(a, w))).q
-    q = thin_qr(sparse_dense_mul(a, w)).q
+    z = sparse_dense_mul(a, w)
+    # z_to_q maps z onto the orthonormal sketch q = z z_to_q, formed only
+    # when thin_qr_deferred needed more than one Cholesky pass.
+    q, r = thin_qr_deferred(z)
+    if q is None:
+        z_to_q = np.linalg.inv(r)
+        b = sparse_transpose_dense_mul(a, z) @ z_to_q
+    else:
+        z, z_to_q = q, None
+        b = sparse_transpose_dense_mul(a, z)
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the
     # sketch by singular value estimate and reveals the numerical rank.
-    b = sparse_transpose_dense_mul(a, q)
     evals, evecs = np.linalg.eigh(b.T @ b)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
@@ -84,5 +100,6 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
     cutoff = sing[0] * max(n, p) * np.finfo(np.float64).eps
     keep = min(k, int(np.count_nonzero(sing > cutoff)))
 
-    u1 = q @ evecs[:, order[:keep]]
+    e = evecs[:, order[:keep]]
+    u1 = z @ (e if z_to_q is None else z_to_q @ e)
     return RangeBasis(u1=u1, singular_estimates=sing[:keep], rank_deficient=keep < k)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import itercca as ic
 from itercca import cli
 from itercca.linalg import sparse_work, thin_qr
+from itercca.rsvd import OVERSAMPLE
 
 from conftest import (
     brute_force_cca,
@@ -193,17 +195,42 @@ def tall_zipf_pair(n=20_000, p=300, per_row=5, seed=31):
     return tuple(ic.as_sparse((v, (rows, cols)), shape=(n, p)) for v in (vx, vy))
 
 
+def readme_l_cca_work(x, y, k_cca, t1, cfg):
+    """The work README gives for l_cca: start, descents and range finders, no restarts."""
+    n = x.shape[0]
+    work = k_cca * x.nnz + 2 * k_cca * t1 * cfg.t2 * (x.nnz + y.nnz)
+    for a in (x, y) if cfg.k_pc else ():
+        m = min(min(cfg.k_pc, n, a.shape[1]) + OVERSAMPLE, n, a.shape[1])
+        work += 2 * (cfg.rsvd_power_iters + 1) * m * a.nnz
+    return work
+
+
 def test_l_cca_one_pass_cholesky_qr_matches_two_passes(monkeypatch):
     x, y = tall_zipf_pair()
+    n = x.shape[0]
     cfg = ic.LingConfig(k_pc=30, t2=2, seed=6)
     passes = spy_on(monkeypatch, "_cholesky_pass")
+    sketches = spy_on(monkeypatch, "thin_qr_deferred", module=ic.rsvd)
+    fallbacks = spy_on(monkeypatch, "_householder_qr")
     one = ic.l_cca(x, y, 10, t1=4, ling_cfg=cfg)
     one_passes = len(passes)
+    # each side's n-by-40 sketch goes through thin_qr_deferred and takes one pass
+    assert sketches == [(n, 40)] * 2 and passes.count((n, 40)) == 2
     monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", 0)
     two = ic.l_cca(x, y, 10, t1=4, ling_cfg=cfg)
+    assert sketches == [(n, 40)] * 4 and passes[one_passes:].count((n, 40)) == 4
     assert 0 < one_passes < len(passes) - one_passes
     np.testing.assert_allclose(one.correlations, two.correlations, rtol=0.0, atol=1e-12)
-    assert one.work == two.work
+    assert one.work == two.work == readme_l_cca_work(x, y, 10, 4, cfg)
+    assert fallbacks == []
+
+    # x repeating 20 of its columns: its 40-column sketch has rank 20 and takes Householder
+    monkeypatch.undo()
+    fallbacks = spy_on(monkeypatch, "_householder_qr")
+    x20 = ic.as_sparse(sparse.hstack([x[:, :20]] * 15))
+    deficient = ic.l_cca(x20, y, 10, t1=4, ling_cfg=cfg)
+    assert (n, 40) in fallbacks
+    assert deficient.work == readme_l_cca_work(x20, y, 10, 4, cfg)
 
 
 def test_g_cca_is_l_cca_without_deflation_bitwise():
@@ -618,3 +645,28 @@ def test_every_algorithm_reports_sorted_correlations_in_the_unit_interval(seed, 
         assert np.all(np.isfinite(corrs)), name
         assert np.all((corrs >= 0.0) & (corrs <= 1.0)), name
         assert np.all(np.diff(corrs) <= 0.0), name
+
+
+ROW_ORDER_SOLVERS = {
+    "l_cca": lambda x, y: ic.l_cca(x, y, 2, t1=3, ling_cfg=ic.LingConfig(k_pc=3, t2=3, seed=1)),
+    "g_cca": lambda x, y: ic.g_cca(x, y, 2, t1=3, t2=3, seed=1),
+    "d_cca": lambda x, y: ic.d_cca(x, y, 2, t1=3, seed=1),
+    "rp_cca": lambda x, y: ic.rp_cca(x, y, 2, k_rpcca=4, seed=1),
+}
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.3, 1.0))
+def test_row_permutation_permutes_the_bases(seed, density):
+    # the solvers' sums run over rows in stored order, so only rounding may change
+    x = random_sparse(90, 8, density, seed=seed)
+    y = random_sparse(90, 6, density, seed=seed + 1)
+    perm = rng_for(seed + 2).permutation(90)
+    for name, solve in ROW_ORDER_SOLVERS.items():
+        want = solve(x, y)
+        got = solve(x[perm], y[perm])
+        for a, b in ((got.x_basis, want.x_basis), (got.y_basis, want.y_basis)):
+            np.testing.assert_allclose(a, b[perm], rtol=0.0, atol=1e-10, err_msg=name)
+        np.testing.assert_allclose(
+            got.correlations, want.correlations, rtol=0.0, atol=1e-10, err_msg=name
+        )

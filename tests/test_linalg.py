@@ -19,6 +19,7 @@ from itercca.linalg import (
     sparse_transpose_dense_mul,
     sparse_work,
     thin_qr,
+    thin_qr_deferred,
 )
 
 from conftest import naive_matmul, random_sparse, rng_for, spy_on
@@ -249,6 +250,18 @@ def test_thin_qr_takes_the_second_cholesky_pass_only_above_the_one_pass_bound(
     assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-13
     assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
     assert np.all(np.diag(r) >= 0.0)
+
+
+@pytest.mark.parametrize("cond, one_pass", [(4.0, True), (64.0, False), (1e9, False)])
+def test_thin_qr_deferred_leaves_only_a_one_pass_q_unformed(cond, one_pass):
+    m = tall_with_condition(3000, 20, cond, seed=29)
+    want = thin_qr(m)
+    q, r = thin_qr_deferred(m)
+    assert r.tobytes() == want.r.tobytes()
+    if one_pass:
+        assert q is None
+    else:
+        assert q.tobytes() == want.q.tobytes()
 
 
 @pytest.mark.parametrize("n", [500, 5000])

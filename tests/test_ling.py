@@ -14,7 +14,7 @@ import scipy.linalg
 
 import itercca as ic
 from itercca.evaluation import fit_geometric_rate
-from itercca.linalg import thin_qr
+from itercca.linalg import sparse_work, thin_qr
 from itercca.ling import build_solver, gd_least_squares, ling_solve
 from itercca.rsvd import OVERSAMPLE
 
@@ -99,6 +99,15 @@ def test_gd_zero_rhs_stays_zero():
     for t2 in (0, 1, 7):
         out = gd_least_squares(x, np.zeros((15, 2)), t2)
         assert np.all(out == 0.0)
+
+
+def test_zero_design_gets_an_empty_basis_and_a_zero_fit():
+    x = ic.as_sparse(np.zeros((15, 6)))
+    y = rng_for(1).standard_normal((15, 2))
+    for t2 in (0, 1, 7):
+        solver = build_solver(x, ic.LingConfig(k_pc=3, t2=t2))
+        assert solver.basis.u1.shape == (15, 0) and solver.basis.rank_deficient
+        assert np.all(ling_solve(solver, y) == 0.0)
 
 
 def test_gd_orthonormal_design_converges_in_one_step():
@@ -237,27 +246,66 @@ def reference_ling_solve(x, basis, t2, y):
     return y1 + (residual + rhs)
 
 
+def residual_carrying_ling_solve(x, basis, t2, y):
+    """The solve step by step as the package runs it, descent steps as above.
+
+    The residual starts at y1 - y and the fit is the final residual plus
+    y; with no steps the fit is y1 itself.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
+    if basis is not None and t2 == 0:
+        return y1
+    residual = y1 - y
+    for _ in range(t2):
+        g = x.T @ residual
+        xg = x @ g
+        g_sq = np.einsum("ij,ij->j", g, g)
+        xg_sq = np.einsum("ij,ij->j", xg, xg)
+        step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
+        residual -= xg * step
+    return residual + y
+
+
 @pytest.mark.parametrize("k_pc", [0, 4])
-def test_solve_matches_step_by_step_reference_bitwise(k_pc):
+def test_solve_matches_step_by_step_reference_bitwise(monkeypatch, k_pc):
     x = cliff_sparse(7)
-    solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=6, seed=3))
-    for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal((60, 1))):
-        got = ling_solve(solver, y)
-        assert np.array_equal(got, reference_ling_solve(x, solver.basis, 6, y))
+    # an unbounded one-pass limit gives the range finder's sketch one
+    # Cholesky pass, a zero limit two
+    for one_pass_max_cond in (np.inf, 0):
+        monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", one_pass_max_cond)
+        for t2 in (0, 1, 3, 6):
+            solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=t2, seed=3))
+            for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal((60, 1))):
+                before = sparse_work.total
+                got = ling_solve(solver, y)
+                assert sparse_work.total - before == 2 * t2 * y.shape[1] * x.nnz
+                assert np.array_equal(got, residual_carrying_ling_solve(x, solver.basis, t2, y))
+                # the descents' iterates agree bit for bit; only the final sum differs
+                explicit = reference_ling_solve(x, solver.basis, t2, y)
+                assert np.linalg.norm(got - explicit) <= 1e-12 * np.linalg.norm(explicit)
 
 
 def test_gd_steps_allocate_no_n_by_k_temporaries():
     x = random_sparse(20000, 200, 0.02, seed=44)
     y = rng_for(45).standard_normal((20000, 4))
+    deflated = build_solver(x, ic.LingConfig(k_pc=10, t2=1, seed=1))
 
-    def peak_bytes(t2):
+    def deflated_solve(t2):
+        return ling_solve(dataclasses.replace(deflated, config=ic.LingConfig(k_pc=10, t2=t2)), y)
+
+    def peak_bytes(solve, t2):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            gd_least_squares(x, y, t2)
+            solve(t2)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
-    # the slack covers the p-by-k gradients, a small fraction of one n-by-k array
-    assert peak_bytes(20) <= peak_bytes(1) + y.nbytes // 4
+    # the residual and x g are the only n-by-k arrays; the slack covers the
+    # p-by-k gradients, a small fraction of one n-by-k array
+    for solve in (lambda t2: gd_least_squares(x, y, t2), deflated_solve):
+        peak = {t2: peak_bytes(solve, t2) for t2 in (1, 20)}
+        assert peak[20] <= peak[1] + y.nbytes // 4
+        assert peak[20] <= 2 * y.nbytes + y.nbytes // 4

@@ -114,7 +114,7 @@ def qr_fallbacks(monkeypatch):
 
 
 def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch, qr_fallbacks):
-    # p < n: the 1,200-row a.T iterates and the 3,000-row sketch take thin_qr's Cholesky path
+    # p < n: the 1,200-row a.T iterates and the 3,000-row sketch take the Cholesky path
     scales = np.concatenate([np.full(5, 1.0), np.full(1195, 0.05)])
     a = random_sparse(3000, 1200, 0.01, seed=14, col_scales=scales)
     got = randomized_top_singulars(a, 5, power_iters=2, seed=3)
@@ -123,11 +123,30 @@ def test_cholesky_normalized_power_iterates_match_full_qr_reference(monkeypatch,
     assert got.u1.tobytes() == again.u1.tobytes()
     assert got.singular_estimates.tobytes() == again.singular_estimates.tobytes()
     monkeypatch.setattr(ic.rsvd, "thin_qr", ic.linalg._householder_qr)
+    monkeypatch.setattr(ic.rsvd, "thin_qr_deferred", ic.linalg._householder_qr)
     ref = randomized_top_singulars(a, 5, power_iters=2, seed=3)
     assert qr_fallbacks == [(1200, 15), (1200, 15), (3000, 15)]
     assert residual_dist(got.u1, ref.u1) <= 1e-10
     np.testing.assert_allclose(got.singular_estimates, ref.singular_estimates, rtol=1e-12)
     assert got.rank_deficient == ref.rank_deficient
+
+
+@pytest.mark.parametrize("n, p", [(3000, 1200), (1200, 3000)])
+def test_one_pass_sketch_matches_the_two_pass_sketch(monkeypatch, n, p):
+    a = random_sparse(n, p, 0.01, seed=21)
+    passes = spy_on(monkeypatch, "_cholesky_pass")
+    one_pass = randomized_top_singulars(a, 5, power_iters=2, seed=5)
+    assert passes.count((n, 15)) == 1
+    # a zero one-pass limit forms q = z inv(r) and takes the second pass on it
+    monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", 0)
+    del passes[:]
+    two_pass = randomized_top_singulars(a, 5, power_iters=2, seed=5)
+    assert passes.count((n, 15)) == 2
+    assert residual_dist(one_pass.u1, two_pass.u1) <= 1e-12
+    np.testing.assert_allclose(
+        one_pass.singular_estimates, two_pass.singular_estimates, rtol=1e-12
+    )
+    assert np.max(np.abs(one_pass.u1.T @ one_pass.u1 - np.eye(5))) <= 1e-13
 
 
 def test_rank_deficient_tall_sketch_falls_back_to_thin_qr_and_flags(monkeypatch, qr_fallbacks):
@@ -196,18 +215,47 @@ def test_p_side_power_iterates_span_the_n_side_subspace(n, p, power_iters):
 def test_every_iterate_goes_through_thin_qr_once(monkeypatch, n, p, power_iters):
     a = random_sparse(n, p, 0.01, seed=20)
     calls = spy_on(monkeypatch, "thin_qr", module=ic.rsvd)
+    deferred = spy_on(monkeypatch, "thin_qr_deferred", module=ic.rsvd)
+    passes = spy_on(monkeypatch, "_cholesky_pass")
+    # the p-side iterates whatever the shape, then the final sketch, whose
+    # one Cholesky pass leaves q unformed
     randomized_top_singulars(a, 5, power_iters=power_iters, seed=6)
-    # the p-side iterates whatever the shape, then the final sketch
-    assert calls == [(p, 15)] * power_iters + [(n, 15)]
+    assert calls == [(p, 15)] * power_iters and deferred == [(n, 15)]
+    assert passes == [(p, 15)] * power_iters + [(n, 15)]
+    del calls[:], deferred[:], passes[:]
+    # with a zero one-pass limit every block takes both passes
+    monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", 0)
+    randomized_top_singulars(a, 5, power_iters=power_iters, seed=6)
+    assert calls == [(p, 15)] * power_iters and deferred == [(n, 15)]
+    assert passes == [(p, 15)] * 2 * power_iters + [(n, 15)] * 2
+
+
+def rank_four(n, p, seed):
+    """An n-by-p matrix whose columns repeat 4 random sparse columns."""
+    base = random_sparse(n, 4, 0.3, seed=seed).toarray()
+    return ic.as_sparse(np.tile(base, -(-p // 4))[:, :p])
 
 
 @pytest.mark.parametrize(
     "n, p, k, power_iters",
     [(3000, 1200, 5, 2), (1200, 3000, 5, 2), (3000, 1200, 5, 0), (40, 12, 5, 3)],
 )
-def test_range_finder_multiplies_match_the_analytic_count(n, p, k, power_iters):
-    a = random_sparse(n, p, 0.01 if n > 40 else 0.5, seed=19)
+def test_range_finder_multiplies_match_the_analytic_count(monkeypatch, n, p, k, power_iters):
     m = min(k + OVERSAMPLE, n, p)
-    before = sparse_work.total
-    randomized_top_singulars(a, k, power_iters=power_iters, seed=0)
-    assert sparse_work.total - before == 2 * (power_iters + 1) * m * a.nnz
+    passes = spy_on(monkeypatch, "_cholesky_pass")
+    fallbacks = spy_on(monkeypatch, "_householder_qr")
+    full_rank = random_sparse(n, p, 0.01 if n > 40 else 0.5, seed=19)
+    # the one-pass sketch, the two-pass sketch, a rank-4 sketch through Householder
+    for a, one_pass_max_cond, sketch_passes in (
+        (full_rank, ic.linalg._CHOLQR_ONE_PASS_MAX_COND, 1),
+        (full_rank, 0, 2),
+        (rank_four(n, p, seed=19), ic.linalg._CHOLQR_ONE_PASS_MAX_COND, 1),
+    ):
+        monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", one_pass_max_cond)
+        del passes[:], fallbacks[:]
+        before = sparse_work.total
+        basis = randomized_top_singulars(a, k, power_iters=power_iters, seed=0)
+        assert sparse_work.total - before == 2 * (power_iters + 1) * m * a.nnz
+        assert passes.count((n, m)) == sketch_passes
+        deficient = a is not full_rank
+        assert (fallbacks[-1:] == [(n, m)]) == basis.rank_deficient == deficient
