@@ -161,7 +161,7 @@ def _band_shift(a):
 def _checked_pair(x, y, k_cca, t1=None, reference=None, seed=None):
     """Canonical x and y, a side outside the band shifted into it, the other uncopied.
 
-    Checks equal row counts, that k_cca is an integer in [1, min width],
+    Checks equal row counts, that k_cca is an integer in [1, min(n, p1, p2)],
     that a given t1 is an integer >= 1, a given seed an integer >= 0 and
     a given reference two n-by-k_cca arrays.
     """
@@ -174,8 +174,8 @@ def _checked_pair(x, y, k_cca, t1=None, reference=None, seed=None):
     y = as_sparse(y, name="y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
-    if k_cca > min(x.shape[1], y.shape[1]):
-        raise ValueError(f"k_cca={k_cca} outside [1, {min(x.shape[1], y.shape[1])}]")
+    if k_cca > min(*x.shape, y.shape[1]):
+        raise ValueError(f"k_cca={k_cca} outside [1, {min(*x.shape, y.shape[1])}]")
     if reference is not None and [np.shape(r) for r in reference] != [(x.shape[0], k_cca)] * 2:
         raise ValueError(f"reference must be two {x.shape[0]}x{k_cca} arrays, one per side")
     return tuple(
@@ -464,11 +464,8 @@ def rp_cca(x, y, k_cca, k_rpcca, seed=0):
     """
     x, y = _checked_pair(x, y, k_cca, seed=seed)
     check_count("k_rpcca", k_rpcca, 1)
-    if not k_cca <= k_rpcca <= min(x.shape[1], y.shape[1]):
-        raise ValueError(
-            f"need 1 <= k_cca <= k_rpcca <= {min(x.shape[1], y.shape[1])}, "
-            f"got k_cca={k_cca}, k_rpcca={k_rpcca}"
-        )
+    if not k_cca <= k_rpcca <= min(*x.shape, y.shape[1]):
+        raise ValueError(f"k_rpcca={k_rpcca} outside [k_cca={k_cca}, {min(*x.shape, y.shape[1])}]")
     children = np.random.SeedSequence(seed).spawn(2)
     seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     basis_x = randomized_top_singulars(x, k_rpcca, seed=seed_x)

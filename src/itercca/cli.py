@@ -14,7 +14,7 @@ outputs allowed to differ between identical runs.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -42,31 +42,31 @@ from .ling import LingConfig
 
 class _Algo(NamedTuple):
     params: tuple  # the tuning parameters it requires; giving any other is a config error
-    iterative: bool  # takes --trace and traces distances to --oracle-compare's bases
     run: Callable  # (config, x, y, reference bases or None) -> CcaResult
 
 
-# The one table of algorithms.  Each runner looks its solver up in this
-# module when it is called, so a solver rebound here (to capture or trace
-# its results) is the one that runs.
+# The one table of algorithms.  Those taking t1 iterate, so they take
+# --trace and trace distances to --oracle-compare's bases.  Each runner
+# looks its solver up in this module when it is called, so a solver
+# rebound here (to capture or trace its results) is the one that runs.
 _ALGOS = {
-    "exact": _Algo((), False, lambda c, x, y, ref: exact_cca_result(
+    "exact": _Algo((), lambda c, x, y, ref: exact_cca_result(
         x, y, c.kcca, ridge=c.ridge)),
-    "lcca": _Algo(("t1", "t2", "kpc"), True, lambda c, x, y, ref: l_cca(
+    "lcca": _Algo(("t1", "t2", "kpc"), lambda c, x, y, ref: l_cca(
         x, y, c.kcca, c.t1, LingConfig(k_pc=c.kpc, t2=c.t2, seed=c.seed),
         trace=c.trace, reference=ref)),
-    "gcca": _Algo(("t1", "t2"), True, lambda c, x, y, ref: g_cca(
+    "gcca": _Algo(("t1", "t2"), lambda c, x, y, ref: g_cca(
         x, y, c.kcca, c.t1, c.t2, c.seed, trace=c.trace, reference=ref)),
-    "dcca": _Algo(("t1",), True, lambda c, x, y, ref: d_cca(
+    "dcca": _Algo(("t1",), lambda c, x, y, ref: d_cca(
         x, y, c.kcca, c.t1, c.seed, trace=c.trace, reference=ref)),
-    "rpcca": _Algo(("krpcca",), False, lambda c, x, y, ref: rp_cca(
+    "rpcca": _Algo(("krpcca",), lambda c, x, y, ref: rp_cca(
         x, y, c.kcca, c.krpcca, seed=c.seed)),
 }
 _PARAMS = tuple(dict.fromkeys(p for algo in _ALGOS.values() for p in algo.params))
 _RUN_KEYS = ("algo", *_PARAMS, "seed")
 # The least value of each integer option.
 _LOWS = {"kcca": 1, "t1": 1, "t2": 0, "kpc": 0, "krpcca": 1, "seed": 0}
-_TOKEN_OPTIONS = ("x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top", "boundary_token")
+_TOKEN_OPTIONS = tuple(f.name for f in fields(TokenDatasetSpec) if f.name != "tokens")
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _validate(config):
     if config.krpcca is not None and config.krpcca < config.kcca:
         raise ValueError("--krpcca must be >= --kcca")
 
-    if config.trace and not algo.iterative:
+    if config.trace and "t1" not in algo.params:
         raise ValueError(f"--trace does not apply to algorithm {config.algo!r}")
     if config.oracle_compare and config.algo == "exact":
         raise ValueError("--oracle-compare is redundant for the exact algorithm")
@@ -162,16 +162,13 @@ def _load_dataset(config):
         meta["source"] = "synthetic"
         meta["planted_correlations"] = [float(c) for c in planted]
     else:
-        with open(config.tokens, encoding="utf-8") as fh:
-            stream = tuple(fh.read().split())
-        x, y = tokens_to_indicators(TokenDatasetSpec(
-            tokens=stream,
-            x_vocab_limit=config.x_vocab_limit,
-            y_vocab_limit=config.y_vocab_limit,
-            x_drop_top=config.x_drop_top,
-            y_drop_top=config.y_drop_top,
-            boundary_token=config.boundary_token,
-        ))
+        # built before the file is read, so a bad option is not blamed on the file
+        spec = TokenDatasetSpec(tokens=(), **{n: getattr(config, n) for n in _TOKEN_OPTIONS})
+        try:
+            with open(config.tokens, encoding="utf-8") as fh:
+                x, y = tokens_to_indicators(replace(spec, tokens=tuple(fh.read().split())))
+        except ValueError as exc:
+            raise ValueError(f"{config.tokens}: {exc}") from exc
         meta["source"] = "tokens"
     meta.update(
         n=int(x.shape[0]), p1=int(x.shape[1]), p2=int(y.shape[1]),
@@ -209,15 +206,16 @@ def _load(configs):
 def _solve(config, x, y, out=None):
     """(result, oracle) of one config, or None after printing why it failed.
 
-    oracle is the exact solution under --oracle-compare, else None.  Every
-    failure here exits 1; an iteration failure first writes its partial
-    trace into `out`.
+    oracle is the exact solution under --oracle-compare, else None; its
+    bases are traced against only under --trace.  Every failure here exits
+    1; an iteration failure first writes its partial trace into `out`.
     """
     try:
-        oracle = None
+        oracle = reference = None
         if config.oracle_compare:
             oracle = exact_cca_result(x, y, config.kcca, ridge=config.ridge)
-        reference = None if oracle is None else (oracle.x_basis, oracle.y_basis)
+            if config.trace:
+                reference = (oracle.x_basis, oracle.y_basis)
         return _ALGOS[config.algo].run(config, x, y, reference), oracle
     except (np.linalg.LinAlgError, ValueError) as exc:
         partial = getattr(exc, "partial_trace", None)
@@ -227,26 +225,19 @@ def _solve(config, x, y, out=None):
         return None
 
 
-def _fmt(v):
-    return f"{v:.12g}"
-
-
-def _write_correlations(path, corrs):
-    lines = ["index,correlation"]
-    lines += [f"{i},{_fmt(c)}" for i, c in enumerate(corrs, start=1)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path, header, rows):
+    """The header and each row as one comma-separated line; floats to 12 significant digits."""
+    path.write_text("".join(
+        ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in line) + "\n"
+        for line in [header, *rows]
+    ), encoding="utf-8")
 
 
 def _write_trace(path, trace):
-    with_dists = trace.dists_x.size > 0
-    header = "iteration,corr_sum" + (",dist_x,dist_y" if with_dists else "")
-    lines = [header]
-    for i, s in enumerate(trace.corr_sums, start=1):
-        row = f"{i},{_fmt(s)}"
-        if with_dists:
-            row += f",{_fmt(trace.dists_x[i - 1])},{_fmt(trace.dists_y[i - 1])}"
-        lines.append(row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header, columns = ["iteration", "corr_sum"], [trace.corr_sums]
+    if trace.dists_x.size:
+        header, columns = header + ["dist_x", "dist_y"], columns + [trace.dists_x, trace.dists_y]
+    _write_csv(path, header, [(i, *v) for i, v in enumerate(zip(*columns), start=1)])
 
 
 def run(config):
@@ -263,7 +254,8 @@ def run(config):
         return 1
     result, oracle = solved
 
-    _write_correlations(out / "correlations.csv", result.correlations)
+    _write_csv(out / "correlations.csv", ["index", "correlation"],
+               enumerate(result.correlations, start=1))
     if result.trace is not None:
         _write_trace(out / "trace.csv", result.trace)
 
@@ -325,7 +317,14 @@ def compare(configs):
         })
     _print_comparison(rows, sys.stdout)
     if configs[0].out:
-        _write_comparison(Path(configs[0].out) / "comparison.csv", rows)
+        k = len(rows[0]["correlations"])
+        _write_csv(
+            Path(configs[0].out) / "comparison.csv",
+            ["algo", "params", "sparse_multiplies", "corr_sum",
+             *(f"corr_{i}" for i in range(1, k + 1))],
+            [(r["algo"], r["params"], r["sparse_multiplies"], r["corr_sum"], *r["correlations"])
+             for r in rows],
+        )
     return 0
 
 
@@ -347,20 +346,6 @@ def _print_comparison(rows, stream):
             f"{r['corr_sum']:>12.6g}  {corrs}",
             file=stream,
         )
-
-
-def _write_comparison(path, rows):
-    k = len(rows[0]["correlations"])
-    header = "algo,params,sparse_multiplies,corr_sum," + ",".join(
-        f"corr_{i}" for i in range(1, k + 1)
-    )
-    lines = [header]
-    for r in rows:
-        corrs = ",".join(_fmt(c) for c in r["correlations"])
-        lines.append(
-            f"{r['algo']},{r['params']},{r['sparse_multiplies']},{_fmt(r['corr_sum'])},{corrs}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _add_data_flags(p):
@@ -432,7 +417,8 @@ def main(argv=None):
     p_cmp = sub.add_parser("compare", help="run several algorithms on one dataset")
     _add_data_flags(p_cmp)
     p_cmp.add_argument("--run", dest="runs", action="append", required=True, metavar="SPEC",
-                       help="algo=NAME[,t1=..][,t2=..][,kpc=..][,krpcca=..][,seed=..]; repeatable")
+                       help="algo=NAME" + "".join(f"[,{k}=..]" for k in _RUN_KEYS[1:])
+                       + "; repeatable")
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -86,10 +86,19 @@ def _fast_matrix_market(raw):
     return (n, p), rows, cols, e["v"]
 
 
-def _scan_matrix_market(path):
-    """((n, p), rows, cols, vals) line by line; errors name the line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _lines(path, raw):
+    """The lines the scanners read: raw decoded once as UTF-8, split once by str.splitlines()."""
+    try:
+        return raw.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode() + "x").splitlines())
+        raise ValueError(
+            f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
+def _scan_matrix_market(path, lines):
+    """((n, p), rows, cols, vals) of the file's lines; errors name the line."""
 
     def fail(lineno, msg):
         raise ValueError(f"{path}:{lineno}: {msg}")
@@ -146,8 +155,9 @@ def read_matrix_market(path):
     raises a ValueError naming the offending line.
     """
     with open(path, "rb") as fh:
-        entries = _fast_matrix_market(fh.read())
-    shape, rows, cols, vals = entries or _scan_matrix_market(path)
+        raw = fh.read()
+    shape, rows, cols, vals = _fast_matrix_market(raw) or _scan_matrix_market(
+        path, _lines(path, raw))
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 
@@ -204,27 +214,22 @@ def _fast_libsvm(raw, n_cols):
     return (_line_count(raw), n_cols), line[~label], cols, e["v"]
 
 
-def _scan_libsvm_width(path):
+def _scan_libsvm_width(path, lines):
     """The largest integer index in any item, as the scanner's width."""
     top = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            for item in line.split()[1:]:
-                idx_s = item.partition(":")[0]
-                try:
-                    top = max(top, int(idx_s))
-                except ValueError:
-                    continue  # the scanner reports malformed fields properly
+    for line in lines:
+        for item in line.split()[1:]:
+            try:
+                top = max(top, int(item.partition(":")[0]))
+            except ValueError:
+                continue  # the scanner reports malformed fields properly
     if top == 0:
         raise ValueError(f"{path}: no feature indices found to infer the column count")
     return top
 
 
-def _scan_libsvm(path, n_cols):
-    """((n, p), rows, cols, vals) line by line; errors name the line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
+def _scan_libsvm(path, lines, n_cols):
+    """((n, p), rows, cols, vals) of the file's lines; errors name the line."""
     rows, cols, vals = [], [], []
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
@@ -266,8 +271,12 @@ def read_libsvm(path, n_cols=None):
     if n_cols is not None:
         check_count("n_cols", n_cols, 1)
     with open(path, "rb") as fh:
-        entries = _fast_libsvm(fh.read(), n_cols)
-    shape, rows, cols, vals = entries or _scan_libsvm(path, n_cols or _scan_libsvm_width(path))
+        raw = fh.read()
+    entries = _fast_libsvm(raw, n_cols)
+    if entries is None:
+        lines = _lines(path, raw)
+        entries = _scan_libsvm(path, lines, n_cols or _scan_libsvm_width(path, lines))
+    shape, rows, cols, vals = entries
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 

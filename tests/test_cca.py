@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -543,6 +544,60 @@ def test_integer_budgets_are_checked_at_entry(solve, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
         solve(x, y)
     assert sparse_work.total == before  # refused before any product
+
+
+# Each solver at block size k; rp_cca sketches at width k.
+SOLVERS_AT_K = [
+    pytest.param(lambda x, y, k: ic.exact_cca_result(x, y, k), id="exact_cca"),
+    pytest.param(lambda x, y, k: ic.l_cca(x, y, k, t1=2, ling_cfg=ic.LingConfig(k_pc=1, t2=2)),
+                 id="l_cca"),
+    pytest.param(lambda x, y, k: ic.g_cca(x, y, k, t1=2, t2=2, seed=0), id="g_cca"),
+    pytest.param(lambda x, y, k: ic.d_cca(x, y, k, t1=2, seed=0), id="d_cca"),
+    pytest.param(lambda x, y, k: ic.rp_cca(x, y, k, k_rpcca=k, seed=0), id="rp_cca"),
+]
+
+
+@pytest.mark.parametrize("solve", SOLVERS_AT_K)
+@pytest.mark.parametrize("n, k", [(3, 4), (0, 1)])
+def test_block_size_is_bounded_by_the_row_count_at_entry(solve, n, k):
+    x = ic.as_sparse(rng_for(60).standard_normal((n, 6)))
+    y = ic.as_sparse(rng_for(61).standard_normal((n, 5)))
+    before = sparse_work.total
+    with pytest.raises(ValueError, match=rf"^k_cca={k} outside \[1, {n}\]$"):
+        solve(x, y, k)
+    assert sparse_work.total == before  # refused before any product
+
+
+def test_rp_cca_sketch_width_is_bounded_by_the_row_count():
+    x = ic.as_sparse(rng_for(60).standard_normal((3, 6)))
+    y = ic.as_sparse(rng_for(61).standard_normal((3, 5)))
+    with pytest.raises(ValueError, match=r"^k_rpcca=5 outside \[k_cca=2, 3\]$"):
+        ic.rp_cca(x, y, 2, k_rpcca=5)
+
+
+def test_rp_cca_refuses_a_side_of_rank_below_k_cca():
+    base = rng_for(62).standard_normal((30, 2))
+    duplicated = ic.as_sparse(np.hstack([base, base, base]))
+    with pytest.warns(UserWarning, match="side 'x' has rank 2 < k_rpcca=4"):
+        with pytest.raises(ValueError, match="data rank below k_cca"):
+            ic.rp_cca(duplicated, random_sparse(30, 5, 0.6, seed=63), 3, k_rpcca=4)
+
+
+@pytest.mark.parametrize("solve, error, message", [
+    (lambda x, y: ic.exact_cca(x, y, 2), ic.SingularGramError, "trace is zero"),
+    (lambda x, y: ic.l_cca(x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=1, t2=2)),
+     ic.IterationFailure, "stayed rank-deficient"),
+    (lambda x, y: ic.g_cca(x, y, 2, t1=2, t2=2, seed=0), ic.IterationFailure,
+     "stayed rank-deficient"),
+    (lambda x, y: ic.d_cca(x, y, 2, t1=2, seed=0), ic.IterationFailure, "stayed rank-deficient"),
+    (lambda x, y: ic.rp_cca(x, y, 2, k_rpcca=3, seed=0), ValueError, "data rank below k_cca"),
+], ids=["exact_cca", "l_cca", "g_cca", "d_cca", "rp_cca"])
+def test_an_all_zero_side_fails_with_a_named_error(solve, error, message):
+    zero = ic.as_sparse(np.zeros((30, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the zero-norm and low-rank notices
+        with pytest.raises(error, match=message):
+            solve(zero, random_sparse(30, 5, 0.6, seed=64))
 
 
 def test_numpy_integer_budgets_give_the_same_run():

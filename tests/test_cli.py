@@ -101,6 +101,31 @@ def test_run_trace_with_oracle_compare(tmp_path):
     assert len(payload["trace_seconds"]) == 8
 
 
+def test_oracle_compare_without_trace_writes_no_trace(tmp_path, monkeypatch):
+    references = []
+    solve = cli.g_cca
+
+    def spy(*args, **kwargs):
+        references.append(kwargs["reference"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "g_cca", spy)
+    xp, yp = planted_mm_pair(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main([
+        "run", "--algo", "gcca", "--x", str(xp), "--y", str(yp),
+        "--format", "mm", "--kcca", "5", "--t1", "8", "--t2", "60",
+        "--oracle-compare", "--out", str(out),
+    ])
+    assert code == 0
+    assert references == [None]
+    assert not (out / "trace.csv").exists()
+    payload = json.loads((out / "run.json").read_text())
+    assert "trace_seconds" not in payload and "restarts" not in payload
+    assert 0.0 <= payload["oracle"]["dist_x"] <= 1.0
+    assert 0.0 <= payload["oracle"]["dist_y"] <= 1.0
+
+
 # Each case: the algorithm flags after a valid file-pair data source, and
 # the error message it must print.
 INCONSISTENT_CONFIGS = [
@@ -419,7 +444,7 @@ LIBSVM_ERRORS = [
     ("1 :1 2:1\n", 2, "{f}:1: non-numeric field ':1'"),
     ("1 1.0:1 2:1\n", 2, "{f}:1: non-numeric field '1.0:1'"),
     ("1 1:nan 2:1\n", 1, "{f} holds 1 non-finite values"),
-    (b"1 1:1 \xff\n", 2, "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+    (b"1 1:1 \xff\n", 2, "{f}:1: byte 0xff is not UTF-8 (invalid start byte)"),
 ]
 
 
@@ -440,6 +465,30 @@ def test_run_libsvm_error_contract(tmp_path, capsys, text, status, message):
     expected = (status, "error: " + message.format(f=bad) + "\n")
     assert run_libsvm_pair(tmp_path, capsys, bad, good) == expected
     assert run_libsvm_pair(tmp_path, capsys, good, bad) == expected
+
+
+@pytest.mark.parametrize("data, extra, message", [
+    (b"a b \xff c\n", [],
+     "{f}: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (b"", [], "{f}: token stream is empty"),
+    (b"a a\na\n", ["--boundary-token", "a"], "{f}: token stream is empty after boundary removal"),
+    (b"a b a b\n", ["--x-vocab-limit", "-1"], "x_vocab_limit must be an integer >= 0, got -1"),
+])
+def test_run_token_file_errors_name_the_file(tmp_path, capsys, data, extra, message):
+    path = tmp_path / "tokens.txt"
+    path.write_bytes(data)
+    code = cli.main(["run", "--algo", "dcca", "--kcca", "1", "--t1", "2", "--tokens", str(path),
+                     *extra, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, "error: " + message.format(f=path) + "\n")
+
+
+def test_run_on_zero_row_files_names_k_cca(tmp_path, capsys):
+    for name, p in (("x.mtx", 6), ("y.mtx", 5)):
+        ic.write_matrix_market(tmp_path / name, ic.as_sparse(np.zeros((0, p))))
+    code = cli.main(["run", "--algo", "dcca", "--kcca", "1", "--t1", "2", "--format", "mm",
+                     "--x", str(tmp_path / "x.mtx"), "--y", str(tmp_path / "y.mtx"),
+                     "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (1, "error: k_cca=1 outside [1, 0]\n")
 
 
 @pytest.mark.parametrize("text,shape", [

@@ -92,6 +92,22 @@ def test_matrix_market_rejects_malformed_input(tmp_path, text, fragment):
     assert fragment in message
 
 
+HEAD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "{f}:1: empty file"),
+    (HEAD + "% a comment\n\n", "{f}:3: missing size line"),
+    (HEAD + "% a comment\n2 2 x\n", "{f}:3: non-integer size entry in '2 2 x'"),
+    (HEAD + "2 -2 0\n", "{f}:2: negative size entry"),
+])
+def test_matrix_market_scanner_names_the_line_of_a_bad_preamble(tmp_path, text, message):
+    path = write(tmp_path, "bad.mtx", text)
+    with pytest.raises(ValueError) as exc:
+        ic.read_matrix_market(path)
+    assert str(exc.value) == message.format(f=path)
+
+
 def test_libsvm_basic_line_and_empty_rows(tmp_path):
     path = write(tmp_path, "a.svm", "1 3:1\n\n0 1:2.5 5:-1\n")
     m = ic.read_libsvm(path, n_cols=5)
@@ -260,6 +276,12 @@ def test_synth_deterministic_and_validates():
     ):
         with pytest.raises(ValueError):
             ic.SynthSpec(**bad)
+    for bad, message in (
+        (dict(k_shared=2, planted_corrs=(0.5,)), "planted_corrs length must equal k_shared"),
+        (dict(k_shared=0, spectrum_decay=-0.5), "spectrum_decay must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ic.SynthSpec(n=10, p1=5, p2=5, **bad)
     good = dict(n=10, p1=5, p2=5, k_shared=0)
     for field, value in (("n", 50.5), ("p1", 0), ("p2", True), ("k_shared", -1),
                          ("seed", 1.5), ("seed", -1)):

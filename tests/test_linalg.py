@@ -68,6 +68,9 @@ def test_sparse_mul_rejects_shape_mismatch():
         sparse_dense_mul(a, np.zeros((5, 2)))
     with pytest.raises(ValueError):
         sparse_transpose_dense_mul(a, np.zeros((4, 2)))
+    for mul, size in ((sparse_dense_mul, 4), (sparse_transpose_dense_mul, 5)):
+        with pytest.raises(ValueError, match=rf"must be 2-dimensional, got shape \({size},\)"):
+            mul(a, np.zeros(size))
 
 
 def test_work_counter_counts_nnz_times_columns():

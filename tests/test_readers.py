@@ -178,6 +178,62 @@ def refuse_scanners(monkeypatch):
         monkeypatch.setattr(datasets, name, refuse)
 
 
+def count_opens(monkeypatch):
+    """The paths itercca.datasets opens, by shadowing the builtin open there."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "open", counting_open, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("read, text, nnz", [
+    (ic.read_matrix_market, HEADER + "\n% note\n2 2 1\n  1 2 0.5\r\n", 1),
+    (ic.read_libsvm, "1 1:1\r\n\n0 2:1_0\n", 2),
+])
+def test_a_read_that_reaches_the_scanner_opens_its_file_once(tmp_path, monkeypatch, read, text,
+                                                             nnz):
+    path = tmp_path / "odd.txt"
+    path.write_bytes(text.encode())
+    opened = count_opens(monkeypatch)
+    assert read(path).nnz == nnz
+    assert opened == [path]
+
+
+@pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_libsvm_width_and_rows_come_from_the_same_lines(tmp_path, sep):
+    # str.splitlines() ends a line at sep, so "4:5" is the label of row 2
+    path = tmp_path / "sep.svm"
+    path.write_bytes(f"1 2:3{sep}4:5\n".encode())
+    m = ic.read_libsvm(path)
+    assert m.shape == (2, 2)
+    assert csr_bits(m) == csr_bits(ic.read_libsvm(path, 2))
+
+
+@pytest.mark.parametrize("read, raw, message", [
+    (ic.read_libsvm, b"1 1:1\n0 2:1\n1 \xff:1\n",
+     "{f}:3: byte 0xff is not UTF-8 (invalid start byte)"),
+    (ic.read_libsvm, b"1 1:1\r\n\r\xff\n",
+     "{f}:3: byte 0xff is not UTF-8 (invalid start byte)"),
+    (ic.read_libsvm, b"1 1:1 \xe2\x82",
+     "{f}:1: byte 0xe2 is not UTF-8 (unexpected end of data)"),
+    (ic.read_matrix_market, (HEADER + "\n% caf").encode() + b"\xe9\n1 1 1\n1 1 2\n",
+     "{f}:2: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    (ic.read_matrix_market, (HEADER + "\n1 1 1\n1 1 ").encode() + b"\xff\n",
+     "{f}:3: byte 0xff is not UTF-8 (invalid start byte)"),
+])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, read, raw, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == message.format(f=path)
+
+
 def random_entries(n_entries, n, p, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = rng.integers(0, n, size=n_entries)
