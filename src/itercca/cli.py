@@ -6,6 +6,10 @@ oracle comparison), and an optional per-iteration trace CSV; `compare`
 executes several algorithm configurations on one shared dataset and emits
 a comparison table.
 
+A run's config is its parsed `argparse.Namespace`; a `compare` spec
+replaces fields of that namespace.  `_validate` checks every option by
+its flag name before the out directory is made or any file is read.
+
 Every number in the emitted CSVs is reproducible from config plus seed;
 timing lives only in the JSON and the stdout table, which are the only
 outputs allowed to differ between identical runs.
@@ -14,9 +18,9 @@ outputs allowed to differ between identical runs.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .datasets import (
     TokenDatasetSpec,
     read_libsvm,
     read_matrix_market,
+    read_text,
     synth_correlated,
     tokens_to_indicators,
 )
@@ -64,45 +69,23 @@ _ALGOS = {
 }
 _PARAMS = tuple(dict.fromkeys(p for algo in _ALGOS.values() for p in algo.params))
 _RUN_KEYS = ("algo", *_PARAMS, "seed")
+# The --tokens options and their defaults, those of the spec they fill.
+_TOKEN_DEFAULTS = {f.name: f.default for f in fields(TokenDatasetSpec) if f.name != "tokens"}
 # The least value of each integer option.
-_LOWS = {"kcca": 1, "t1": 1, "t2": 0, "kpc": 0, "krpcca": 1, "seed": 0}
-_TOKEN_OPTIONS = tuple(f.name for f in fields(TokenDatasetSpec) if f.name != "tokens")
+_LOWS = {"kcca": 1, "t1": 1, "t2": 0, "kpc": 0, "krpcca": 1, "seed": 0,
+         "x_vocab_limit": 0, "y_vocab_limit": 0, "x_drop_top": 0, "y_drop_top": 0}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One experiment: an algorithm, a data source, and its parameters.
-
-    Exactly one data source must be set: x/y paths with a format, the
-    path to a JSON synthetic recipe, or the path to whitespace-separated
-    token text; the options of another source (y, fmt, the vocabulary
-    options, boundary_token) must be left unset.
-    """
-
-    algo: str
-    x: Optional[str] = None
-    y: Optional[str] = None
-    fmt: Optional[str] = None
-    synth_spec: Optional[str] = None
-    tokens: Optional[str] = None
-    kcca: int = 20
-    t1: Optional[int] = None
-    t2: Optional[int] = None
-    kpc: Optional[int] = None
-    krpcca: Optional[int] = None
-    seed: int = 0
-    out: Optional[str] = None
-    trace: bool = False
-    oracle_compare: bool = False
-    ridge: bool = False
-    x_vocab_limit: int = 0
-    y_vocab_limit: int = 0
-    x_drop_top: int = 0
-    y_drop_top: int = 0
-    boundary_token: Optional[str] = None
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _validate(config):
+    """Check one run's parsed options; raise a ValueError naming the flag at fault.
+
+    Exactly one data source must be set: --x/--y with --format, --synth-spec,
+    or --tokens; the options of another source must keep their defaults.
+    """
     algo = _ALGOS.get(config.algo)
     if algo is None:
         raise ValueError(f"unknown algorithm {config.algo!r}; choose from {tuple(_ALGOS)}")
@@ -116,9 +99,9 @@ def _validate(config):
             raise ValueError("--format must be 'mm' or 'libsvm' when loading files")
     elif config.y is not None or config.fmt is not None:
         raise ValueError("--y and --format apply only with --x")
-    for name in _TOKEN_OPTIONS:
-        if config.tokens is None and getattr(config, name) != getattr(RunConfig, name):
-            raise ValueError(f"--{name.replace('_', '-')} applies only with --tokens")
+    for name, default in _TOKEN_DEFAULTS.items():
+        if config.tokens is None and getattr(config, name) != default:
+            raise ValueError(f"{_flag(name)} applies only with --tokens")
 
     for name in _PARAMS:
         value = getattr(config, name)
@@ -129,7 +112,7 @@ def _validate(config):
             raise ValueError(f"--{name} does not apply to algorithm {config.algo!r}")
     for name, low in _LOWS.items():
         if getattr(config, name) is not None:
-            check_count(f"--{name}", getattr(config, name), low)
+            check_count(_flag(name), getattr(config, name), low)
     if config.krpcca is not None and config.krpcca < config.kcca:
         raise ValueError("--krpcca must be >= --kcca")
 
@@ -153,20 +136,19 @@ def _load_dataset(config):
             meta["libsvm_inferred_cols"] = {"x": x.shape[1], "y": y.shape[1]}
         meta["source"] = "files"
     elif config.synth_spec is not None:
-        with open(config.synth_spec, encoding="utf-8") as fh:
-            try:
-                spec = SynthSpec(**json.load(fh))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad synthetic spec {config.synth_spec}: {exc}") from exc
+        text = read_text(config.synth_spec)
+        try:
+            spec = SynthSpec(**json.loads(text))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad synthetic spec {config.synth_spec}: {exc}") from exc
         x, y, planted = synth_correlated(spec)
         meta["source"] = "synthetic"
         meta["planted_correlations"] = [float(c) for c in planted]
     else:
-        # built before the file is read, so a bad option is not blamed on the file
-        spec = TokenDatasetSpec(tokens=(), **{n: getattr(config, n) for n in _TOKEN_OPTIONS})
+        spec = TokenDatasetSpec(tuple(read_text(config.tokens).split()),
+                                **{n: getattr(config, n) for n in _TOKEN_DEFAULTS})
         try:
-            with open(config.tokens, encoding="utf-8") as fh:
-                x, y = tokens_to_indicators(replace(spec, tokens=tuple(fh.read().split())))
+            x, y = tokens_to_indicators(spec)
         except ValueError as exc:
             raise ValueError(f"{config.tokens}: {exc}") from exc
         meta["source"] = "tokens"
@@ -241,7 +223,10 @@ def _write_trace(path, trace):
 
 
 def run(config):
-    """Execute one configuration, write its result files, return exit status."""
+    """Execute one configuration, write its result files, return exit status.
+
+    run.json echoes every attribute of config, the parsed `run` flags.
+    """
     if config.out is None:
         return _fail("--out directory is required", 2)
     data, status = _load([config])
@@ -260,7 +245,7 @@ def run(config):
         _write_trace(out / "trace.csv", result.trace)
 
     payload = {
-        "config": asdict(config),
+        "config": vars(config),
         "data": meta,
         "wall_time_seconds": result.wall_time,
         "sparse_multiplies": result.work,
@@ -355,22 +340,24 @@ def _add_data_flags(p):
                    help="file format for --x/--y (mm = Matrix Market)")
     p.add_argument("--synth-spec", help="path to a JSON synthetic-instance recipe")
     p.add_argument("--tokens", help="path to whitespace-separated token text")
-    p.add_argument("--kcca", type=int, default=20, help="number of canonical pairs (default 20)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--kcca", type=int, default=20,
+                   help="number of canonical pairs (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--ridge", action="store_true",
                    help="repair singular Grams in the exact solver by a ridge shift")
-    p.add_argument("--x-vocab-limit", type=int, default=0)
-    p.add_argument("--y-vocab-limit", type=int, default=0)
-    p.add_argument("--x-drop-top", type=int, default=0,
+    p.add_argument("--x-vocab-limit", type=int)
+    p.add_argument("--y-vocab-limit", type=int)
+    p.add_argument("--x-drop-top", type=int,
                    help="drop the f most frequent current-position tokens")
-    p.add_argument("--y-drop-top", type=int, default=0,
+    p.add_argument("--y-drop-top", type=int,
                    help="drop the f most frequent next-position tokens")
     p.add_argument("--boundary-token", help="token that bigrams must not span")
+    p.set_defaults(**_TOKEN_DEFAULTS)
 
 
 def _parse_run_spec(text):
-    """The RunConfig fields one --run spec sets, e.g. algo=lcca,t1=6,t2=8,kpc=100."""
+    """The config fields one --run spec sets, e.g. algo=lcca,t1=6,t2=8,kpc=100."""
     spec = {}
     for item in text.split(","):
         key, sep, value = (part.strip() for part in item.partition("="))
@@ -387,12 +374,6 @@ def _parse_run_spec(text):
     if "algo" not in spec:
         raise ValueError(f"--run spec {text!r} needs algo=...")
     return spec
-
-
-def _config(args, **overrides):
-    """The RunConfig named by the parsed flags, with `overrides` taking precedence."""
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{**{k: v for k, v in vars(args).items() if k in names}, **overrides})
 
 
 def main(argv=None):
@@ -419,12 +400,16 @@ def main(argv=None):
     p_cmp.add_argument("--run", dest="runs", action="append", required=True, metavar="SPEC",
                        help="algo=NAME" + "".join(f"[,{k}=..]" for k in _RUN_KEYS[1:])
                        + "; repeatable")
+    # compare's specs set the run-only options they need; the rest stay unset
+    p_cmp.set_defaults(**dict.fromkeys(_PARAMS), trace=False, oracle_compare=False)
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(_config(args))
+        del args.command  # what is left is the run's config
+        return run(args)
     try:
-        configs = [_config(args, **_parse_run_spec(spec)) for spec in args.runs]
+        configs = [argparse.Namespace(**{**vars(args), **_parse_run_spec(spec)})
+                   for spec in args.runs]
     except ValueError as exc:
         return _fail(exc, 2)
     return compare(configs)

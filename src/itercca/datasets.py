@@ -5,6 +5,9 @@ Three sources of paired sparse matrices: standard file formats
 token stream (rows of x mark the current token, rows of y the one after),
 and a synthetic generator that plants known canonical correlations behind
 a controlled singular spectrum so tests know the right answer.
+
+Every text file, the CLI's token and spec files included, goes through
+one UTF-8 decode that names a bad byte as `path:line`.
 """
 
 import io
@@ -86,15 +89,21 @@ def _fast_matrix_market(raw):
     return (n, p), rows, cols, e["v"]
 
 
-def _lines(path, raw):
-    """The lines the scanners read: raw decoded once as UTF-8, split once by str.splitlines()."""
+def _decode(path, raw):
+    """The bytes of the file at path as UTF-8 text; a bad byte is named by its line."""
     try:
-        return raw.decode().splitlines()
+        return raw.decode()
     except UnicodeDecodeError as exc:
         line = len((raw[:exc.start].decode() + "x").splitlines())
         raise ValueError(
             f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from None
+
+
+def read_text(path):
+    """The file at path, read once and decoded as the readers decode their files."""
+    with open(path, "rb") as fh:
+        return _decode(path, fh.read())
 
 
 def _scan_matrix_market(path, lines):
@@ -157,7 +166,7 @@ def read_matrix_market(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     shape, rows, cols, vals = _fast_matrix_market(raw) or _scan_matrix_market(
-        path, _lines(path, raw))
+        path, _decode(path, raw).splitlines())
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 
@@ -274,7 +283,7 @@ def read_libsvm(path, n_cols=None):
         raw = fh.read()
     entries = _fast_libsvm(raw, n_cols)
     if entries is None:
-        lines = _lines(path, raw)
+        lines = _decode(path, raw).splitlines()
         entries = _scan_libsvm(path, lines, n_cols or _scan_libsvm_width(path, lines))
     shape, rows, cols, vals = entries
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
@@ -394,8 +403,8 @@ class SynthSpec:
             raise ValueError("planted correlations must lie in (0, 1)")
         if any(a < b for a, b in zip(corrs, corrs[1:])):
             raise ValueError("planted_corrs must be sorted non-increasing")
-        if self.spectrum_decay < 0:
-            raise ValueError("spectrum_decay must be >= 0")
+        if self.spectrum_decay < 0 or not self.spectrum_decay < np.inf:  # NaN fails `< inf`
+            raise ValueError("spectrum_decay must be a finite number >= 0")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         if self.placement not in ("top", "bottom", "spread", "edges"):

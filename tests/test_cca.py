@@ -1,5 +1,6 @@
 """Tests for the exact solver, the iterative drivers, and the baselines."""
 
+import argparse
 import sys
 import threading
 import time
@@ -694,7 +695,8 @@ def test_every_algorithm_reports_sorted_correlations_in_the_unit_interval(seed, 
     y = random_sparse(80, 6, density, seed=seed + 1)
     for name, algo in cli._ALGOS.items():
         budget = {param: SMALL_BUDGET[param] for param in algo.params}
-        config = cli.RunConfig(algo=name, kcca=2, seed=seed, **budget)
+        config = argparse.Namespace(algo=name, kcca=2, seed=seed, trace=False, ridge=False,
+                                    **budget)
         corrs = algo.run(config, x, y, None).correlations
         assert corrs.shape == (2,), name
         assert np.all(np.isfinite(corrs)), name

@@ -162,6 +162,7 @@ def test_run_rejects_inconsistent_configs(tmp_path, capsys, argv_tail, message):
     ] + argv_tail
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_bad_data_wiring(tmp_path):
@@ -468,17 +469,34 @@ def test_run_libsvm_error_contract(tmp_path, capsys, text, status, message):
 
 
 @pytest.mark.parametrize("data, extra, message", [
-    (b"a b \xff c\n", [],
-     "{f}: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (b"a b \xff c\n", [], "{f}:1: byte 0xff is not UTF-8 (invalid start byte)"),
     (b"", [], "{f}: token stream is empty"),
     (b"a a\na\n", ["--boundary-token", "a"], "{f}: token stream is empty after boundary removal"),
-    (b"a b a b\n", ["--x-vocab-limit", "-1"], "x_vocab_limit must be an integer >= 0, got -1"),
+    (b"a b a b\n", ["--x-vocab-limit", "-1"], "--x-vocab-limit must be an integer >= 0, got -1"),
 ])
 def test_run_token_file_errors_name_the_file(tmp_path, capsys, data, extra, message):
     path = tmp_path / "tokens.txt"
     path.write_bytes(data)
     code = cli.main(["run", "--algo", "dcca", "--kcca", "1", "--t1", "2", "--tokens", str(path),
                      *extra, "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, "error: " + message.format(f=path) + "\n")
+    if extra[:1] == ["--x-vocab-limit"]:  # an option is checked before --out is made
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"n": 50, "p1": 5,\n "p2": 5, "k_shared": 0, "seed": "\xff"}',
+     "{f}:2: byte 0xff is not UTF-8 (invalid start byte)"),
+    (b'{"n": 50, "p1": 5,\n "p2": 5 "k_shared": 0}',
+     "bad synthetic spec {f}: Expecting ',' delimiter: line 2 column 10 (char 28)"),
+    (b'{"n": 50, "p1": 5, "p2": 5, "k_shared": 0, "spectrum_decay": NaN}',
+     "bad synthetic spec {f}: spectrum_decay must be a finite number >= 0"),
+])
+def test_run_synth_spec_errors_name_the_file(tmp_path, capsys, data, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    code = cli.main(["run", "--algo", "dcca", "--kcca", "1", "--t1", "2",
+                     "--synth-spec", str(path), "--out", str(tmp_path / "out")])
     assert (code, capsys.readouterr().err) == (2, "error: " + message.format(f=path) + "\n")
 
 

@@ -278,7 +278,9 @@ def test_synth_deterministic_and_validates():
             ic.SynthSpec(**bad)
     for bad, message in (
         (dict(k_shared=2, planted_corrs=(0.5,)), "planted_corrs length must equal k_shared"),
-        (dict(k_shared=0, spectrum_decay=-0.5), "spectrum_decay must be >= 0"),
+        (dict(k_shared=0, spectrum_decay=-0.5), "spectrum_decay must be a finite number >= 0"),
+        (dict(k_shared=0, spectrum_decay=float("nan")), "spectrum_decay must be a finite number"),
+        (dict(k_shared=0, spectrum_decay=float("inf")), "spectrum_decay must be a finite number"),
     ):
         with pytest.raises(ValueError, match=message):
             ic.SynthSpec(n=10, p1=5, p2=5, **bad)
