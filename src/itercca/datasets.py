@@ -11,6 +11,7 @@ one UTF-8 decode that names a bad byte as `path:line`.
 """
 
 import io
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -364,6 +365,11 @@ def tokens_to_indicators(spec):
     return x, y
 
 
+def _is_number(value):
+    """True for a real number that is not a bool (numpy scalars included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a paired synthetic instance with known correlations.
@@ -395,7 +401,10 @@ class SynthSpec:
             check_count(name, getattr(self, name), low)
         if self.k_shared > min(self.p1, self.p2):
             raise ValueError(f"k_shared={self.k_shared} outside [0, {min(self.p1, self.p2)}]")
-        corrs = tuple(float(c) for c in self.planted_corrs)
+        corrs = self.planted_corrs
+        if not isinstance(corrs, (list, tuple)) or not all(map(_is_number, corrs)):
+            raise ValueError(f"planted_corrs must be a list or tuple of numbers, got {corrs!r}")
+        corrs = tuple(float(c) for c in corrs)
         object.__setattr__(self, "planted_corrs", corrs)
         if len(corrs) != self.k_shared:
             raise ValueError("planted_corrs length must equal k_shared")
@@ -403,10 +412,12 @@ class SynthSpec:
             raise ValueError("planted correlations must lie in (0, 1)")
         if any(a < b for a, b in zip(corrs, corrs[1:])):
             raise ValueError("planted_corrs must be sorted non-increasing")
-        if self.spectrum_decay < 0 or not self.spectrum_decay < np.inf:  # NaN fails `< inf`
+        if not _is_number(self.spectrum_decay) or not 0 <= self.spectrum_decay < np.inf:
             raise ValueError("spectrum_decay must be a finite number >= 0")
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must be in (0, 1]")
+        if not _is_number(self.density) or not 0.0 < self.density <= 1.0:
+            raise ValueError(f"density must be a number in (0, 1], got {self.density!r}")
+        if not isinstance(self.rotate, bool):
+            raise ValueError(f"rotate must be a bool, got {self.rotate!r}")
         if self.placement not in ("top", "bottom", "spread", "edges"):
             raise ValueError(f"unknown placement {self.placement!r}")
         if self.rotate and self.density < 1.0:

@@ -16,7 +16,9 @@ def subspace_dist(w, z):
     Equals the sine of the largest principal angle, i.e. the spectral norm
     of the difference of the two orthogonal projectors, but is computed
     from n x k quantities only: orthonormalize both sides and take the
-    largest singular value of q_z - q_w (q_w^T q_z).  That residual form
+    largest singular value of the residual q_z - q_w (q_w^T q_z).  For
+    spans of equal width the residual of q_w on q_z has the same singular
+    values, so one residual gives the symmetric distance.  That form
     agrees with sqrt(1 - sigma_min(q_w^T q_z)^2) in exact arithmetic and,
     unlike it, resolves distances all the way down to machine precision
     (the sigma_min route bottoms out near sqrt(eps)).
@@ -32,12 +34,8 @@ def subspace_dist(w, z):
         if rank_deficient_columns(r).size:
             raise ValueError(f"argument {name} is rank deficient")
 
-    def one_sided(qa, qb):
-        resid = qb - qa @ (qa.T @ qb)
-        return np.linalg.svd(resid, compute_uv=False)[0]
-
-    d = max(one_sided(q_w, q_z), one_sided(q_z, q_w))
-    return float(min(d, 1.0))
+    resid = q_z - q_w @ (q_w.T @ q_z)
+    return float(min(np.linalg.svd(resid, compute_uv=False)[0], 1.0))
 
 
 def fit_geometric_rate(errors):

@@ -311,32 +311,31 @@ def thin_qr(m):
     deterministic.  Rank deficiency is not an error here; use
     `rank_deficient_columns` on the returned r and decide at the caller.
     """
-    m = _check_dense(m, "m")
-    q, r = thin_qr_deferred(m)
-    if q is None:
-        q = m @ np.linalg.inv(r)
-    return QrFactors(q, r)
+    base, to_q, r = thin_qr_deferred(m)
+    return QrFactors(base @ to_q, r)
 
 
 def thin_qr_deferred(m):
-    """`thin_qr(m)`, except that q is None when one Cholesky pass gives it.
+    """`thin_qr(m)` as (base, to_q, r), with thin_qr's q = base @ to_q.
 
-    That q is m inv(r), left for the caller to form, or to avoid forming
-    by applying inv(r) to the small side of a product instead.  On every
-    other path, and always for r, the factors are `thin_qr`'s.
+    A caller that needs q only inside products applies the small k-by-k
+    to_q on the small side instead of forming q.  After one Cholesky pass
+    this is (m, inv(r1), r1), so q is never formed; after two it is
+    (q1, inv(r2), r2 r1); after Householder it is (q, I, r).
     """
     m = _check_dense(m, "m")
     n, k = m.shape
     if not 1 <= k <= n:
         raise ValueError(f"thin_qr needs n >= k >= 1, got shape {m.shape}")
     if (first := _cholesky_pass(m)) is None:
-        return _householder_qr(m)
+        q, r = _householder_qr(m)
+        return q, np.eye(k), r
     r1, cond = first
     if cond <= _CHOLQR_ONE_PASS_MAX_COND:
-        return QrFactors(None, r1)
+        return m, np.linalg.inv(r1), r1
     q1 = m @ np.linalg.inv(r1)
     r2, _ = _cholesky_pass(q1)
-    return QrFactors(q1 @ np.linalg.inv(r2), r2 @ r1)
+    return q1, np.linalg.inv(r2), r2 @ r1
 
 
 def _householder_qr(m):

@@ -83,13 +83,15 @@ def _check_rhs(x, y):
     return y
 
 
-def _descend(x, residual, t2):
-    """Take t2 line-search steps on the residual x b - y_r, updated in place.
+def _descend(x, residual, y, t2):
+    """The fit after t2 line-search steps on |x b - y_r|^2 from b = 0.
 
-    The descent starts from b = 0, so `residual` enters as -y_r.  One
-    n-by-k buffer holds x g at every step.  A column whose gradient image
-    x g vanishes takes a zero step, which keeps rank-deficient designs
-    from dividing by zero.
+    `residual` enters as x b - y_r = -y_r and is updated in place; the
+    returned fit, written over it, is the final residual plus y, which is
+    y_r plus any part of the fit the caller made exactly (y1 in the
+    deflated solve).  One n-by-k buffer holds x g at every step.  A column
+    whose gradient image x g vanishes takes a zero step, which keeps
+    rank-deficient designs from dividing by zero.
     """
     xg = np.empty(residual.shape)
     for _ in range(t2):
@@ -100,6 +102,8 @@ def _descend(x, residual, t2):
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
         np.multiply(xg, step, out=xg)
         residual -= xg
+    residual += y
+    return residual
 
 
 def gd_least_squares(x, y_r, t2):
@@ -113,11 +117,7 @@ def gd_least_squares(x, y_r, t2):
     check_count("t2", t2, 0)
     x = as_sparse(x)
     y_r = _check_rhs(x, y_r)
-    # Only the residual is carried; the fit is recovered from it at the end.
-    residual = np.negative(y_r)
-    _descend(x, residual, t2)
-    residual += y_r
-    return residual
+    return _descend(x, np.negative(y_r), y_r, t2)
 
 
 def ling_solve(solver, y):
@@ -138,8 +138,4 @@ def ling_solve(solver, y):
         return y1
     # The descent on y - y1 starts from its negation, y1 - y, written over
     # y1, and its final residual x b - (y - y1) is the fit y1 + x b minus y.
-    residual = y1
-    residual -= y
-    _descend(x, residual, t2)
-    residual += y
-    return residual
+    return _descend(x, np.subtract(y1, y, out=y1), y, t2)

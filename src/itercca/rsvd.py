@@ -9,11 +9,12 @@ a.T (a w), whatever the shape of the matrix, since a (a.T a)^i omega
 spans the same space whichever side is normalized (Halko, Martinsson and
 Tropp, 2011).
 
-The final sketch z = a w goes through `thin_qr_deferred`.  When one
-Cholesky pass orthonormalizes it, q = z inv(r) is never formed: the
-projection a.T q is (a.T z) inv(r), and inv(r) is folded into the
+The final sketch a w goes through `thin_qr_deferred`, which returns its
+orthonormal basis as q = z to_q, with z n-by-m and to_q m-by-m (z is
+the sketch itself when one Cholesky pass suffices).  q is never formed: the
+projection a.T q is (a.T z) to_q, and to_q is folded into the
 eigenvectors E that pick the basis out of the sketch, so the only dense
-n-side product is u1 = z (inv(r) E).
+n-side product is u1 = z (to_q E).
 
 Randomness comes from numpy's PCG64 bit generator seeded directly with the
 integer `seed`, with standard-normal draws; identical inputs and seed give
@@ -78,16 +79,9 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
     for _ in range(power_iters):
         # the n-by-m iterate is freed before the next product allocates another
         w = thin_qr(sparse_transpose_dense_mul(a, sparse_dense_mul(a, w))).q
-    z = sparse_dense_mul(a, w)
-    # z_to_q maps z onto the orthonormal sketch q = z z_to_q, formed only
-    # when thin_qr_deferred needed more than one Cholesky pass.
-    q, r = thin_qr_deferred(z)
-    if q is None:
-        z_to_q = np.linalg.inv(r)
-        b = sparse_transpose_dense_mul(a, z) @ z_to_q
-    else:
-        z, z_to_q = q, None
-        b = sparse_transpose_dense_mul(a, z)
+    # the orthonormal sketch q = z z_to_q is never formed
+    z, z_to_q, _ = thin_qr_deferred(sparse_dense_mul(a, w))
+    b = sparse_transpose_dense_mul(a, z) @ z_to_q
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the
     # sketch by singular value estimate and reveals the numerical rank.
@@ -101,5 +95,5 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
     keep = min(k, int(np.count_nonzero(sing > cutoff)))
 
     e = evecs[:, order[:keep]]
-    u1 = z @ (e if z_to_q is None else z_to_q @ e)
+    u1 = z @ (z_to_q @ e)
     return RangeBasis(u1=u1, singular_estimates=sing[:keep], rank_deficient=keep < k)

@@ -491,6 +491,8 @@ def test_run_token_file_errors_name_the_file(tmp_path, capsys, data, extra, mess
      "bad synthetic spec {f}: Expecting ',' delimiter: line 2 column 10 (char 28)"),
     (b'{"n": 50, "p1": 5, "p2": 5, "k_shared": 0, "spectrum_decay": NaN}',
      "bad synthetic spec {f}: spectrum_decay must be a finite number >= 0"),
+    (b'{"n": 50, "p1": 5, "p2": 5, "k_shared": 0, "density": null}',
+     "bad synthetic spec {f}: density must be a number in (0, 1], got None"),
 ])
 def test_run_synth_spec_errors_name_the_file(tmp_path, capsys, data, message):
     path = tmp_path / "spec.json"

@@ -281,6 +281,19 @@ def test_synth_deterministic_and_validates():
         (dict(k_shared=0, spectrum_decay=-0.5), "spectrum_decay must be a finite number >= 0"),
         (dict(k_shared=0, spectrum_decay=float("nan")), "spectrum_decay must be a finite number"),
         (dict(k_shared=0, spectrum_decay=float("inf")), "spectrum_decay must be a finite number"),
+        (dict(k_shared=0, spectrum_decay="x"), "spectrum_decay must be a finite number >= 0"),
+        (dict(k_shared=0, spectrum_decay=True), "spectrum_decay must be a finite number >= 0"),
+        (dict(k_shared=0, density=None), r"density must be a number in \(0, 1\], got None"),
+        (dict(k_shared=0, density=True), r"density must be a number in \(0, 1\], got True"),
+        (dict(k_shared=0, density=0.0), r"density must be a number in \(0, 1\], got 0.0"),
+        (dict(k_shared=1, planted_corrs=0.5),
+         "planted_corrs must be a list or tuple of numbers, got 0.5"),
+        (dict(k_shared=1, planted_corrs=["0.5"]),
+         r"planted_corrs must be a list or tuple of numbers, got \['0.5'\]"),
+        (dict(k_shared=1, planted_corrs=(True,)),
+         r"planted_corrs must be a list or tuple of numbers, got \(True,\)"),
+        (dict(k_shared=0, rotate="no"), "rotate must be a bool, got 'no'"),
+        (dict(k_shared=0, rotate=1), "rotate must be a bool, got 1"),
     ):
         with pytest.raises(ValueError, match=message):
             ic.SynthSpec(n=10, p1=5, p2=5, **bad)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import itercca as ic
 from itercca.evaluation import fit_geometric_rate
@@ -32,6 +33,22 @@ def test_subspace_dist_symmetric_and_bounded():
     d = ic.subspace_dist(w, z)
     assert d == pytest.approx(ic.subspace_dist(z, w), abs=1e-12)
     assert 0.0 <= d <= 1.0
+
+
+@pytest.mark.parametrize("dist", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0])
+def test_subspace_dist_is_the_sine_of_the_largest_principal_angle(dist):
+    # principal angles up to arcsin(dist) between two 4-dimensional spans,
+    # each handed over in a non-orthonormal basis
+    n, k = 200, 4
+    q, _ = np.linalg.qr(rng_for(10).standard_normal((n, 2 * k)))
+    angles = np.arcsin(dist * np.array([1.0, 0.5, 0.25, 0.0]))
+    w = q[:, :k] @ rng_for(11).standard_normal((k, k))
+    z = q[:, :k] * np.cos(angles) + q[:, k:] * np.sin(angles)
+    z = z @ rng_for(12).standard_normal((k, k))
+    want = np.sin(np.max(scipy.linalg.subspace_angles(w, z)))
+    assert want == pytest.approx(dist, rel=1e-6)
+    assert abs(ic.subspace_dist(w, z) - want) <= 2e-15
+    assert abs(ic.subspace_dist(z, w) - want) <= 2e-15
 
 
 def test_subspace_dist_rejects_bad_inputs():

@@ -255,16 +255,18 @@ def test_thin_qr_takes_the_second_cholesky_pass_only_above_the_one_pass_bound(
     assert np.all(np.diag(r) >= 0.0)
 
 
-@pytest.mark.parametrize("cond, one_pass", [(4.0, True), (64.0, False), (1e9, False)])
-def test_thin_qr_deferred_leaves_only_a_one_pass_q_unformed(cond, one_pass):
+@pytest.mark.parametrize(
+    "cond, path", [(4.0, "one pass"), (64.0, "two passes"), (1e9, "householder")]
+)
+def test_thin_qr_deferred_gives_thin_qr_as_base_times_to_q(cond, path):
     m = tall_with_condition(3000, 20, cond, seed=29)
     want = thin_qr(m)
-    q, r = thin_qr_deferred(m)
+    base, to_q, r = thin_qr_deferred(m)
     assert r.tobytes() == want.r.tobytes()
-    if one_pass:
-        assert q is None
-    else:
-        assert q.tobytes() == want.q.tobytes()
+    assert (base @ to_q).tobytes() == want.q.tobytes()
+    # one pass leaves q unformed; Householder has nothing left to apply
+    assert (base is m) == (path == "one pass")
+    assert np.array_equal(to_q, np.eye(20)) == (path == "householder")
 
 
 @pytest.mark.parametrize("n", [500, 5000])
