@@ -165,20 +165,21 @@ def _fail(exc, status):
 
 
 def _load(configs):
-    """Check `configs`, create their out directory, and read their shared dataset.
+    """Check `configs`, read their shared dataset, and create their out directory.
 
     Returns ((x, y, meta), 0), or (None, exit status) after printing the
-    error: 2 for a bad configuration, an out directory that cannot be
-    made, or a file that cannot be read or parsed; 1 for non-finite values
-    in the data.
+    error: 2 for a bad configuration, a file that cannot be read or
+    parsed, or an out directory that cannot be made; 1 for non-finite
+    values in the data.  A refused input leaves no out directory behind.
     """
     # main builds every compare config from one namespace, so they share their data.
     try:
         for config in configs:
             _validate(config)
+        data = _load_dataset(configs[0])
         if configs[0].out:
             Path(configs[0].out).mkdir(parents=True, exist_ok=True)
-        return _load_dataset(configs[0]), 0
+        return data, 0
     except NonFiniteError as exc:
         return None, _fail(exc, 1)
     except (ValueError, OSError) as exc:

@@ -3,11 +3,12 @@
 Range finder with a Gaussian test matrix of k + OVERSAMPLE columns,
 power iterates and a final sketch orthonormalized by thin QR (the bare
 power scheme loses all but the top direction to exponent collapse), and a
-small eigendecomposition of the projected Gram to order and truncate the
-basis back to k.  Each round trip normalizes only its p-side iterate
-a.T (a w), whatever the shape of the matrix, since a (a.T a)^i omega
-spans the same space whichever side is normalized (Halko, Martinsson and
-Tropp, 2011).
+small eigendecomposition of the projected Gram that only orders the basis
+and truncates it to k, or to the sketch's rank when that is smaller: the
+columns of its r that `linalg.rank_deficient_columns` does not flag.
+Each round trip normalizes only its p-side iterate a.T (a w), whatever
+the shape of the matrix, since a (a.T a)^i omega spans the same space
+whichever side is normalized (Halko, Martinsson and Tropp, 2011).
 
 The final sketch a w goes through `thin_qr_deferred`, which returns its
 orthonormal basis as q = z to_q, with z n-by-m and to_q m-by-m (z is
@@ -27,6 +28,7 @@ import numpy as np
 
 from .linalg import (
     as_sparse,
+    rank_deficient_columns,
     sparse_dense_mul,
     sparse_transpose_dense_mul,
     thin_qr,
@@ -42,8 +44,8 @@ class RangeBasis:
     """Orthonormal basis u1 for an approximate top singular subspace.
 
     Columns are ordered by decreasing singular value estimate
-    (`singular_estimates`).  `rank_deficient` is set when the requested
-    rank exceeded the numerical rank and u1 was truncated accordingly.
+    (`singular_estimates`).  `rank_deficient` is set when k exceeded the
+    sketch's rank by `linalg.rank_deficient_columns` and u1 was cut to it.
     """
 
     u1: np.ndarray
@@ -59,7 +61,8 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
     a : sparse matrix, n-by-p
     k : int
         Number of basis columns requested, 1 <= k <= min(n, p); the
-        sketch has min(k + OVERSAMPLE, n, p) columns.
+        sketch has min(k + OVERSAMPLE, n, p) columns, and its rank caps
+        the columns returned (`RangeBasis`).
     power_iters : int >= 0
         Power iterations a.T(a .) applied to the test matrix before the
         final sketch a w.  Each p-side iterate goes through `thin_qr`, and
@@ -80,19 +83,15 @@ def randomized_top_singulars(a, k, power_iters=2, seed=0):
         # the n-by-m iterate is freed before the next product allocates another
         w = thin_qr(sparse_transpose_dense_mul(a, sparse_dense_mul(a, w))).q
     # the orthonormal sketch q = z z_to_q is never formed
-    z, z_to_q, _ = thin_qr_deferred(sparse_dense_mul(a, w))
+    z, z_to_q, r = thin_qr_deferred(sparse_dense_mul(a, w))
     b = sparse_transpose_dense_mul(a, z) @ z_to_q
+    keep = min(k, m - rank_deficient_columns(r).size)
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the
-    # sketch by singular value estimate and reveals the numerical rank.
+    # sketch by singular value estimate; the top `keep` directions are kept.
     evals, evecs = np.linalg.eigh(b.T @ b)
     order = np.argsort(evals)[::-1]
-    evals = np.maximum(evals[order], 0.0)
-    sing = np.sqrt(evals)
-
-    # m >= 1, and when every estimate is 0 no estimate clears the cutoff
-    cutoff = sing[0] * max(n, p) * np.finfo(np.float64).eps
-    keep = min(k, int(np.count_nonzero(sing > cutoff)))
+    sing = np.sqrt(np.maximum(evals[order], 0.0))
 
     e = evecs[:, order[:keep]]
     u1 = z @ (z_to_q @ e)

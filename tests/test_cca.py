@@ -118,6 +118,8 @@ def test_final_correlations_identity_orthogonal_and_planar():
     np.testing.assert_allclose(ic.final_correlations(w, z), [1.0, 0.5], atol=1e-12)
     with pytest.raises(ValueError):
         ic.final_correlations(2.0 * q, q)
+    with pytest.raises(ValueError, match="need two bases with equal row counts"):
+        ic.final_correlations(q, q[:-1])
 
 
 def test_iterative_same_sides_align_immediately():
@@ -582,6 +584,28 @@ def test_rp_cca_refuses_a_side_of_rank_below_k_cca():
     with pytest.warns(UserWarning, match="side 'x' has rank 2 < k_rpcca=4"):
         with pytest.raises(ValueError, match="data rank below k_cca"):
             ic.rp_cca(duplicated, random_sparse(30, 5, 0.6, seed=63), 3, k_rpcca=4)
+
+
+def test_bases_stay_in_the_column_space_of_a_rank_five_side():
+    # 50 columns of rank 5, singular values over three decades; every range
+    # finder here is asked for 10 directions, twice the rank
+    rng = rng_for(0)
+    x = (rng.standard_normal((1000, 5)) * np.logspace(0, -3, 5)) @ rng.standard_normal((5, 50))
+    y = rng.standard_normal((1000, 300))
+    u = np.linalg.svd(x, full_matrices=False)[0][:, :5]
+    results = [
+        ic.l_cca(x, y, 3, 4, ic.LingConfig(k_pc=10, t2=2, seed=0)),
+        ic.g_cca(x, y, 3, 4, t2=2, seed=0),
+        ic.d_cca(x, y, 3, 4, seed=0),
+    ]
+    with pytest.warns(UserWarning, match="side 'x' has rank 5 < k_rpcca=10"):
+        results.append(ic.rp_cca(x, y, 3, 10, seed=0))
+    for result in results:
+        outside = result.x_basis - u @ (u.T @ result.x_basis)
+        assert np.linalg.norm(outside, axis=0).max() <= 1e-10
+    with pytest.warns(UserWarning, match="side 'x' has rank 5 < k_rpcca=10"):
+        with pytest.raises(ValueError, match="data rank below k_cca"):
+            ic.rp_cca(x, y, 8, 10, seed=0)
 
 
 @pytest.mark.parametrize("solve, error, message", [

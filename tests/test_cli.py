@@ -206,13 +206,23 @@ def test_run_rejects_synthetic_spec_with_bad_integers(tmp_path, capsys, field, v
 
 def test_run_reports_malformed_input_file(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
-    bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n9 9 1.0\n")
+    for entry, message in (("9 9 1.0", "bad.mtx:3"),
+                           ("1 x 1", "bad.mtx:3: non-numeric entry in '1 x 1'")):
+        bad.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n")
+        code = cli.main([
+            "run", "--algo", "exact", "--x", str(bad), "--y", str(bad),
+            "--format", "mm", "--kcca", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
     code = cli.main([
-        "run", "--algo", "exact", "--x", str(bad), "--y", str(bad),
+        "run", "--algo", "exact", "--x", str(tmp_path / "missing.mtx"), "--y", str(bad),
         "--format", "mm", "--kcca", "1", "--out", str(tmp_path / "out"),
     ])
     assert code == 2
-    assert "bad.mtx:3" in capsys.readouterr().err
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_reports_non_finite_input_file(tmp_path, capsys):
@@ -232,6 +242,7 @@ def test_run_reports_non_finite_input_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "nan.mtx holds 1 non-finite values" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_out_directory_is_config_error(tmp_path):
@@ -480,8 +491,7 @@ def test_run_token_file_errors_name_the_file(tmp_path, capsys, data, extra, mess
     code = cli.main(["run", "--algo", "dcca", "--kcca", "1", "--t1", "2", "--tokens", str(path),
                      *extra, "--out", str(tmp_path / "out")])
     assert (code, capsys.readouterr().err) == (2, "error: " + message.format(f=path) + "\n")
-    if extra[:1] == ["--x-vocab-limit"]:  # an option is checked before --out is made
-        assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()  # --out is made only after the data is read
 
 
 @pytest.mark.parametrize("data, message", [
@@ -500,6 +510,7 @@ def test_run_synth_spec_errors_name_the_file(tmp_path, capsys, data, message):
     code = cli.main(["run", "--algo", "dcca", "--kcca", "1", "--t1", "2",
                      "--synth-spec", str(path), "--out", str(tmp_path / "out")])
     assert (code, capsys.readouterr().err) == (2, "error: " + message.format(f=path) + "\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_on_zero_row_files_names_k_cca(tmp_path, capsys):

@@ -13,7 +13,7 @@ from itercca.linalg import (
 )
 from itercca.rsvd import OVERSAMPLE, randomized_top_singulars
 
-from conftest import cliff_sparse, controlled_spectrum, random_sparse, spy_on
+from conftest import cliff_sparse, controlled_spectrum, random_sparse, rng_for, spy_on
 
 
 def top_left_singulars_oracle(a_sparse, k):
@@ -79,13 +79,39 @@ def test_exact_for_k_equal_rank():
     np.testing.assert_allclose(proj, a.toarray(), atol=1e-10)
 
 
-def test_rank_deficient_input_truncates_and_flags():
+def duplicated_rank_two(seed):
     rank2 = np.outer(np.arange(1.0, 7.0), np.ones(4))
     rank2[:, 1] = np.arange(6.0)
-    a = ic.as_sparse(np.hstack([rank2, rank2]))
-    basis = randomized_top_singulars(a, 5, power_iters=2, seed=0)
+    return np.hstack([rank2, rank2])
+
+
+def graded_rank(n, p, r, scale):
+    """Draws of an n-by-p matrix of rank r, singular values over three decades."""
+    def draw(seed):
+        rng = rng_for(seed)
+        return (rng.standard_normal((n, r)) * np.logspace(0, -3, r)) @ (
+            rng.standard_normal((r, p)) * scale
+        )
+    return draw
+
+
+@pytest.mark.parametrize("draw, r, k, seed", [
+    pytest.param(duplicated_rank_two, 2, 5, 0, id="6x8-rank2"),
+    # the sketch's QR diagonal falls to ~1e-3 of its largest entry at the
+    # r-th column and to rounding after it
+    *(pytest.param(graded_rank(n, p, r, scale), r, k, seed, id=f"{n}x{p}-rank{r}-seed{seed}")
+      for n, p, r, k, scale in [(1000, 50, 5, 10, 1.0), (2000, 300, 20, 40, 1.0),
+                                (5000, 500, 30, 60, 1e3), (500, 2000, 7, 20, 1.0),
+                                (3000, 400, 10, 30, 1e-5)]
+      for seed in range(3)),
+])
+def test_rank_deficient_input_truncates_and_flags(draw, r, k, seed):
+    a = draw(seed)
+    basis = randomized_top_singulars(ic.as_sparse(a), k, power_iters=2, seed=seed)
     assert basis.rank_deficient
-    assert basis.u1.shape[1] == 2
+    assert basis.u1.shape == (a.shape[0], r)
+    u = scipy.linalg.svd(a, full_matrices=False)[0][:, :r]
+    assert np.linalg.norm(basis.u1 - u @ (u.T @ basis.u1), axis=0).max() <= 1e-10
 
 
 def test_oversample_capped_by_matrix_size():
