@@ -8,12 +8,13 @@ deflated solver at two subspace widths, and prints the observed
 per-step error ratios next to the predicted convergence rates.
 """
 
-import numpy as np
-
+# itercca first: OPENBLAS_THREAD_TIMEOUT takes effect only if set before numpy loads.
 import itercca as ic
 from itercca.evaluation import fit_geometric_rate
 from itercca.linalg import thin_qr
 from itercca.ling import build_solver, gd_least_squares, ling_solve
+
+import numpy as np
 
 SPECTRUM = np.concatenate([
     np.full(5, 1.0),

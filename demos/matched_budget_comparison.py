@@ -8,9 +8,10 @@ solver, plain gradient descent tuned to the same work, and the sketch
 route tuned to the same work, and prints the captured correlation sums.
 """
 
-import numpy as np
-
+# itercca first: OPENBLAS_THREAD_TIMEOUT takes effect only if set before numpy loads.
 import itercca as ic
+
+import numpy as np
 
 K_CCA = 20
 T1 = 4

@@ -8,11 +8,12 @@ after each outer round, then fits the geometric decay rate and compares
 it with the bound set by the correlation gap at the cut.
 """
 
-import numpy as np
-import scipy.linalg
-
+# itercca first: OPENBLAS_THREAD_TIMEOUT takes effect only if set before numpy loads.
 import itercca as ic
 from itercca.evaluation import fit_geometric_rate
+
+import numpy as np
+import scipy.linalg
 
 
 def dense_ls(a):

@@ -6,9 +6,10 @@ Generates a 200x20 / 200x15 sparse pair sharing five latent factors,
 then runs the dense-oracle solver and prints planted vs recovered values.
 """
 
-import numpy as np
-
+# itercca first: OPENBLAS_THREAD_TIMEOUT takes effect only if set before numpy loads.
 import itercca as ic
+
+import numpy as np
 
 
 def main():

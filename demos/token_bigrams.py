@@ -9,10 +9,11 @@ the generic iterative one. The recovered correlations mirror the group
 stay probabilities, with a leading exact 1 from the constant direction.
 """
 
+# itercca first: OPENBLAS_THREAD_TIMEOUT takes effect only if set before numpy loads.
+import itercca as ic
+
 import numpy as np
 import scipy.linalg
-
-import itercca as ic
 
 STAY_PROBS = (0.95, 0.85, 0.75, 0.65, 0.55)
 

@@ -13,14 +13,19 @@ The two sparse-dense products funnel through a per-thread work counter
 it to report machine-independent compute budgets, so solves running in
 separate threads each see only their own products.
 
-With `ITERCCA_THREADS` above 1, a product of a CSR matrix whose nnz times
-the dense width reaches 2,000,000 is split into that many row blocks of
-about equal nnz (capped at the usable cores); the calling thread runs the
-first block and a shared pool the rest.  `a @ b` stays bitwise equal to
-the serial product, since each block fills its own rows.  `a.T @ b` adds
-per-block partials in block order, so it is byte-identical across reruns
-at a fixed thread count but differs from other thread counts at rounding
-level.
+A product of a CSR matrix whose nnz times the dense width k reaches
+2,000,000 is cut into row blocks of about equal nnz, one per 2,000,000
+multiplies (at least two, at most eight), chosen from the matrix and k
+alone.  With `ITERCCA_THREADS` above 1 (capped at
+the usable cores and at the block count), each thread takes a contiguous
+run of blocks: the calling thread the first run, a shared pool the rest.
+`a @ b` is bitwise equal to the serial product, since each block fills
+its own rows, and `a.T @ b` adds one partial per block in block order, so
+both give the same bytes at every thread count.  The kernels also run the
+gradient descent's dense n-by-k passes inside their blocks, so those
+passes share the threads: `sparse_dense_mul` can return the product's
+column sums of squares, and `sparse_transpose_dense_mul` can first
+subtract a scaled block from its dense operand in place.
 """
 
 import os
@@ -44,9 +49,20 @@ RANK_RTOL = 1e-12
 _CHOLQR2_MAX_COND = 1e6
 _CHOLQR_ONE_PASS_MAX_COND = 16
 
-# Products with nnz * k below this stay serial: waking pool threads costs
-# more than a product this small.
+# A product gets one row block per _ROW_BLOCK_MIN_WORK multiplies
+# (nnz * k), at least two and at most _BLOCKS.  A smaller product stays one
+# block: waking pool threads costs more than it saves.  Each block adds a
+# p-by-k partial and a hand-off, so finer blocks made one-thread runs of
+# the bench slower.  The count never depends on the thread count, so
+# neither do the products' sums.
 _ROW_BLOCK_MIN_WORK = 2_000_000
+_BLOCKS = 8
+
+# The fused dense passes walk a block in chunks of about this many
+# float64 entries (256 KiB), so each chunk-sized temporary stays in cache;
+# a chunk is also at most a sixteenth of the rows, so on a small array the
+# temporaries stay a small fraction of it.
+_CHUNK_ENTRIES = 2**15
 
 
 def _usable_cores():
@@ -56,8 +72,8 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-# The package's __init__ has already checked that ITERCCA_THREADS, when
-# set, is a positive integer.
+# Threads that run the row blocks.  The package's __init__ has already
+# checked that ITERCCA_THREADS, when set, is a positive integer.
 _ROW_BLOCKS = min(int(os.environ.get("ITERCCA_THREADS") or 1), _usable_cores())
 
 
@@ -147,7 +163,7 @@ _pool_lock = threading.Lock()
 
 
 def _row_pool():
-    """The executor, shared by all callers, that runs all but the first row block.
+    """The executor, shared by all callers, that runs all but the first run of blocks.
 
     Recreated in a forked child, whose copy has no live threads.
     """
@@ -160,50 +176,104 @@ def _row_pool():
 
 
 def _row_ranges(a, k):
-    """Row ranges of about equal nnz splitting a product of canonical `a` with k columns.
+    """Row blocks of about equal nnz splitting a product of canonical `a` with k columns.
 
-    The single range (0, n) when the product runs serially: one block
-    configured, a product too small to repay the thread hand-off, or only
-    one non-empty range.
+    Chosen from `a` and k alone, never from the thread count: the single
+    range (0, n) below _ROW_BLOCK_MIN_WORK multiplies, otherwise up to
+    min(_BLOCKS, max(2, nnz * k // _ROW_BLOCK_MIN_WORK)) non-empty ranges.
     """
-    blocks = _ROW_BLOCKS
-    if blocks < 2 or a.nnz * k < _ROW_BLOCK_MIN_WORK:
+    work = a.nnz * k
+    if work < _ROW_BLOCK_MIN_WORK:
         return [(0, a.shape[0])]
+    blocks = min(_BLOCKS, max(2, work // _ROW_BLOCK_MIN_WORK))
     # Integer targets in indptr's dtype, so searchsorted casts nothing.
     targets = (a.nnz * np.arange(1, blocks, dtype=np.int64) // blocks).astype(a.indptr.dtype)
     cuts = [0, *np.searchsorted(a.indptr, targets).tolist(), a.shape[0]]
-    ranges = [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0]
-    return ranges if len(ranges) > 1 else [(0, a.shape[0])]
+    return [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0] or [(0, a.shape[0])]
 
 
 def _map_blocks(fn, ranges):
-    """[fn(r0, r1) for r0, r1 in ranges]; the caller runs the first, the pool the rest.
+    """[fn(r0, r1) for r0, r1 in ranges], each thread running a contiguous run of ranges.
 
-    A single range runs in the caller alone and never touches the pool.
+    The caller runs the first run and the pool the rest; one thread, or
+    a single range, never touches the pool.
     """
-    pending = [_row_pool().submit(fn, *rows) for rows in ranges[1:]]
+    runs = min(_ROW_BLOCKS, len(ranges))
+    cuts = [len(ranges) * i // runs for i in range(runs + 1)]
+
+    def run(i):
+        return [fn(*rows) for rows in ranges[cuts[i] : cuts[i + 1]]]
+
+    pending = [_row_pool().submit(run, i) for i in range(1, runs)]
     try:
-        first = fn(*ranges[0])
+        first = run(0)
     finally:
         wait(pending)  # no block outlives the call, even when the first raises
-    return [first] + [f.result() for f in pending]
+    return first + [part for f in pending for part in f.result()]
+
+
+def _chunk_rows(n, k):
+    return max(1, min(_CHUNK_ENTRIES // k, n // 16))
+
+
+def _row_chunks(r0, r1, rows):
+    return [slice(c, min(c + rows, r1)) for c in range(r0, r1, rows)]
+
+
+def _scale_tile(s, n):
+    """The length-k vector s repeated down the rows of one chunk of an n-by-k array.
+
+    Scaling a chunk by a tile of its own shape runs as one flat loop;
+    broadcasting s itself runs numpy's loop k entries at a time, which
+    took 2.4 times as long on 819-by-20 chunks.
+    """
+    return np.tile(s, (_chunk_rows(n, s.shape[0]), 1))
+
+
+def map_row_chunks(fn, a, s):
+    """Call fn(rows, tile) on every chunk of rows of a product of `a` with len(s) columns.
+
+    `rows` is a slice of the product's rows and `tile` holds s in each of
+    them, so `chunk * tile` scales the chunk's columns by s.  The chunks
+    cover the product's row blocks in order, and the blocks run on the
+    threads the products use, so fn may write the rows it is given of
+    shared n-by-k arrays.  fn must not call BLAS, whose own threads would
+    nest inside the pool's.
+    """
+    a = as_sparse(a)
+    tile = _scale_tile(s, a.shape[0])
+
+    def block(r0, r1):
+        for rows in _row_chunks(r0, r1, tile.shape[0]):
+            fn(rows, tile[: rows.stop - rows.start])
+
+    _map_blocks(block, _row_ranges(a, s.shape[0]))
+
+
+def _sum_in_order(parts):
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 # The public kernels start with `a = as_sparse(a)`: an identity check on
 # the package's own matrices, one canonicalizing copy per call for any
-# other input.  Every product, serial (one range) or row-blocked, then
-# calls the kernels scipy's own `@` runs on CSR and CSC operands with two
-# or more dense columns, with indptr[r0:r1 + 1] as the block's pointer
-# array: it indexes the full data and indices buffers, so a block is a
-# view with no copy.  Both kernels add into a zeroed output.
+# other input.  Every product, one block or many, then calls the kernels
+# scipy's own `@` runs on CSR and CSC operands with two or more dense
+# columns, with indptr[r0:r1 + 1] as the block's pointer array: it indexes
+# the full data and indices buffers, so a block is a view with no copy.
+# Both kernels add into a zeroed output.
 
 
-def sparse_dense_mul(a, b, out=None):
+def sparse_dense_mul(a, b, out=None, col_sq=None):
     """Product a @ b of a sparse n-by-p matrix with a dense p-by-k matrix.
 
     With `out`, a C-contiguous float64 n-by-k array that shares no memory
     with `b`, the product is written into `out` and `out` is returned,
-    bitwise equal to the product made without it.
+    bitwise equal to the product made without it.  With `col_sq`, a
+    writable float64 array of length k, the product's column sums of
+    squares are written into it, each block's sums added in block order.
     """
     a = as_sparse(a)
     b = _check_dense(b)
@@ -222,28 +292,50 @@ def sparse_dense_mul(a, b, out=None):
         )
     if out is not None and np.may_share_memory(out, b):
         raise ValueError("out must not share memory with b, which is read after out is zeroed")
+    if col_sq is not None and not (
+        isinstance(col_sq, np.ndarray) and col_sq.dtype == np.float64
+        and col_sq.shape == (k,) and col_sq.flags.writeable
+    ):
+        raise ValueError(
+            f"col_sq must be a writable float64 array of shape {(k,)}, "
+            f"got {getattr(col_sq, 'dtype', type(col_sq).__name__)} {np.shape(col_sq)}"
+        )
     sparse_work.add(a.nnz * k)
     b = np.ascontiguousarray(b).reshape(-1)
+    # A new output comes zeroed from the allocator; a caller's is zeroed block by block.
+    stale = out is not None
     if out is None:
         out = np.zeros((n, k))
-    else:
-        out.fill(0.0)
 
     def fill(r0, r1):
+        block = out[r0:r1]
+        if stale:
+            block.fill(0.0)
         _sparsetools.csr_matvecs(
-            r1 - r0, p, k, a.indptr[r0 : r1 + 1], a.indices, a.data, b, out[r0:r1].reshape(-1)
+            r1 - r0, p, k, a.indptr[r0 : r1 + 1], a.indices, a.data, b, block.reshape(-1)
         )
+        return None if col_sq is None else np.einsum("ij,ij->j", block, block)
 
-    _map_blocks(fill, _row_ranges(a, k))
+    sums = _map_blocks(fill, _row_ranges(a, k))
+    if col_sq is not None:
+        col_sq[:] = _sum_in_order(sums)
     return out
 
 
-def sparse_transpose_dense_mul(a, b):
+def sparse_transpose_dense_mul(a, b, minus=None):
     """Product a.T @ b without materializing the transpose of `a`.
 
     `a` is sparse n-by-p, `b` dense n-by-k; the result is dense p-by-k.
+    With `minus=(m, s)`, m an n-by-k array and s a length-k vector, `b`
+    is first updated in place to b - m * s (each column of m scaled by
+    the matching entry of s), or to b - m when s is None, and the product
+    is taken of the updated `b`; `b` must then be a writable C-contiguous
+    float64 array sharing no memory with m.
     """
     a = as_sparse(a)
+    if minus is not None:
+        b, m, s = _check_minus(b, minus)
+        tile = None if s is None else _scale_tile(s, b.shape[0])
     b = _check_dense(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError(
@@ -255,6 +347,12 @@ def sparse_transpose_dense_mul(a, b):
     b = np.ascontiguousarray(b)
 
     def partial(r0, r1):
+        if minus is not None:
+            scaled = None if s is None else np.empty_like(tile)
+            for rows in _row_chunks(r0, r1, _chunk_rows(b.shape[0], k)):
+                chunk, h = b[rows], rows.stop - rows.start
+                update = m[rows] if s is None else np.multiply(m[rows], tile[:h], out=scaled[:h])
+                np.subtract(chunk, update, out=chunk)
         part = np.zeros((p, k))
         _sparsetools.csc_matvecs(
             p, r1 - r0, k, a.indptr[r0 : r1 + 1], a.indices, a.data,
@@ -262,11 +360,30 @@ def sparse_transpose_dense_mul(a, b):
         )
         return part
 
-    partials = _map_blocks(partial, _row_ranges(a, k))
-    out = partials[0]
-    for part in partials[1:]:
-        out += part
-    return out
+    return _sum_in_order(_map_blocks(partial, _row_ranges(a, k)))
+
+
+def _check_minus(b, minus):
+    """(b, m, s) for sparse_transpose_dense_mul, refusing a b it cannot update in place."""
+    if not (
+        isinstance(b, np.ndarray) and b.ndim == 2 and b.dtype == np.float64
+        and b.flags.c_contiguous and b.flags.writeable
+    ):
+        raise ValueError(
+            "b must be a writable C-contiguous float64 2-d array when minus is given, "
+            "since it is updated in place"
+        )
+    m, s = minus
+    m = _check_dense(m, "m")
+    s = None if s is None else np.asarray(s, dtype=np.float64)
+    if m.shape != b.shape or (s is not None and s.shape != (b.shape[1],)):
+        raise ValueError(
+            f"minus must be (m, s) with m of shape {b.shape} and s None or of shape "
+            f"{(b.shape[1],)}, got {m.shape} and {np.shape(s)}"
+        )
+    if np.may_share_memory(b, m):
+        raise ValueError("b must not share memory with m, which is read while b is updated")
+    return b, m, s
 
 
 class QrFactors(NamedTuple):

@@ -13,13 +13,16 @@ The descent is steepest descent with an exact per-column line search
 convergence ratio matches the advertised r exactly, so the rate is
 testable without tuning a step size.
 
-A solve holds two n-by-k arrays: the descent's residual x b - (y - y1),
-which starts at y1 - y written over the projection y1 = u1 (u1.T y), and
-one buffer for x g.  The fit is that residual plus y.  The projection
-stays an n-side product: the descent amplifies rounding in its first
-gradient several-fold per step when the spectrum past k_pc is poorly
-separated, and forming y1 and that gradient from p-side coefficients
-instead made six-step solves two to six times less accurate.
+A solve holds two n-by-k arrays: the fit, which starts as the projection
+y1 = u1 (u1.T y) (zeros without deflation) and carries the descent's
+residual x b - (y - y1) between steps, and one buffer for x g.  Every
+dense pass over them runs inside the sparse products' fixed row blocks
+(see `linalg`), so the descent gives the same bytes at every thread
+count.  The projection stays an n-side product, made by BLAS on the
+calling thread: the descent amplifies rounding in its first gradient
+several-fold per step when the spectrum past k_pc is poorly separated,
+and forming y1 and that gradient from p-side coefficients instead made
+six-step solves two to six times less accurate.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,13 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .linalg import as_sparse, check_count, sparse_dense_mul, sparse_transpose_dense_mul
+from .linalg import (
+    as_sparse,
+    check_count,
+    map_row_chunks,
+    sparse_dense_mul,
+    sparse_transpose_dense_mul,
+)
 from .rsvd import OVERSAMPLE, RangeBasis, randomized_top_singulars
 
 
@@ -83,27 +92,40 @@ def _check_rhs(x, y):
     return y
 
 
-def _descend(x, residual, y, t2):
-    """The fit after t2 line-search steps on |x b - y_r|^2 from b = 0.
+def _descend(x, fit, y, t2):
+    """`fit` plus t2 line-search steps on |x b - (y - fit)|^2 from b = 0, written over `fit`.
 
-    `residual` enters as x b - y_r = -y_r and is updated in place; the
-    returned fit, written over it, is the final residual plus y, which is
-    y_r plus any part of the fit the caller made exactly (y1 in the
-    deflated solve).  One n-by-k buffer holds x g at every step.  A column
-    whose gradient image x g vanishes takes a zero step, which keeps
-    rank-deficient designs from dividing by zero.
+    `fit` is a C-contiguous float64 n-by-k array the caller hands over:
+    zeros for the plain descent, the exact part y1 for the deflated solve.
+    It carries the residual x b - (y - fit) between steps and the fit on
+    return.  The descent's dense n-by-k passes all run in the sparse
+    products' row blocks: the first gradient's prologue subtracts y, each
+    later gradient's applies the previous step's update, x g reports its
+    column sums of squares for the step size, and the last update and the
+    closing + y run in the same blocks.  One n-by-k buffer holds x g at
+    every step.  A column whose gradient image x g vanishes takes a zero
+    step, which keeps rank-deficient designs from dividing by zero.
     """
-    xg = np.empty(residual.shape)
+    if t2 == 0:
+        return fit
+    k = y.shape[1]
+    xg = np.empty(fit.shape)
+    xg_sq = np.empty(k)
+    minus = (y, None)
     for _ in range(t2):
-        g = sparse_transpose_dense_mul(x, residual)
-        sparse_dense_mul(x, g, out=xg)
+        g = sparse_transpose_dense_mul(x, fit, minus=minus)
+        sparse_dense_mul(x, g, out=xg, col_sq=xg_sq)
         g_sq = np.einsum("ij,ij->j", g, g)
-        xg_sq = np.einsum("ij,ij->j", xg, xg)
-        step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
-        np.multiply(xg, step, out=xg)
-        residual -= xg
-    residual += y
-    return residual
+        minus = (xg, np.divide(g_sq, xg_sq, out=np.zeros(k), where=xg_sq > 0))
+
+    def finish(rows, tile):
+        fit_rows, update = fit[rows], xg[rows]
+        np.multiply(update, tile, out=update)
+        np.subtract(fit_rows, update, out=fit_rows)
+        np.add(fit_rows, y[rows], out=fit_rows)
+
+    map_row_chunks(finish, x, minus[1])
+    return fit
 
 
 def gd_least_squares(x, y_r, t2):
@@ -117,7 +139,7 @@ def gd_least_squares(x, y_r, t2):
     check_count("t2", t2, 0)
     x = as_sparse(x)
     y_r = _check_rhs(x, y_r)
-    return _descend(x, np.negative(y_r), y_r, t2)
+    return _descend(x, np.zeros(y_r.shape), y_r, t2)
 
 
 def ling_solve(solver, y):
@@ -129,13 +151,8 @@ def ling_solve(solver, y):
     """
     x = solver.x
     y = _check_rhs(x, y)
-    t2 = solver.config.t2
     if solver.basis is None:
-        return gd_least_squares(x, y, t2)
+        return gd_least_squares(x, y, solver.config.t2)
     u1 = solver.basis.u1
-    y1 = u1 @ (u1.T @ y)
-    if t2 == 0:
-        return y1
-    # The descent on y - y1 starts from its negation, y1 - y, written over
-    # y1, and its final residual x b - (y - y1) is the fit y1 + x b minus y.
-    return _descend(x, np.subtract(y1, y, out=y1), y, t2)
+    # Both products are BLAS calls and stay on this thread, outside the row blocks.
+    return _descend(x, u1 @ (u1.T @ y), y, solver.config.t2)

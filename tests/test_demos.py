@@ -16,3 +16,11 @@ def test_demo_exits_zero(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_itercca_before_numpy(demo):
+    # OPENBLAS_THREAD_TIMEOUT, which itercca sets, is read when numpy loads OpenBLAS
+    imports = [line.split()[1] for line in demo.read_text().splitlines()
+               if line.startswith(("import ", "from "))]
+    assert imports[0] == "itercca"

@@ -317,17 +317,23 @@ def spy_blocks(monkeypatch):
     return seen
 
 
+def products_at(monkeypatch, threads, a, b, c):
+    """(a @ b, a.T @ c) made with `threads` threads running the row blocks."""
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    return sparse_dense_mul(a, b), sparse_transpose_dense_mul(a, c)
+
+
 @pytest.mark.parametrize("threads", [2, 3])
 def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    # eight blocks for the 2,400,000 multiplies of a product below
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 300_000)
     # 1,000 heavy rows of 100 entries over 5,000 light rows of 4: nnz 120,000
     a = ic.as_sparse(sparse.vstack([fixed_row_nnz(1000, 300, 100, seed=30),
                                     fixed_row_nnz(5000, 300, 4, seed=29)]))
     b = rng_for(31).standard_normal((300, 20))
     c = rng_for(32).standard_normal((6000, 20))
-    out = sparse_dense_mul(a, b)
+    out, t = products_at(monkeypatch, threads, a, b, c)
     assert out.tobytes() == (a @ b).tobytes()
-    t = sparse_transpose_dense_mul(a, c)
     ref = a.T @ c
     assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert all(sparse_transpose_dense_mul(a, c).tobytes() == t.tobytes() for _ in range(3))
@@ -335,19 +341,23 @@ def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
     assert sparse_dense_mul(a, np.asfortranarray(b)).tobytes() == out.tobytes()
     assert sparse_transpose_dense_mul(a, np.asfortranarray(c)).tobytes() == t.tobytes()
     assert len(spy_blocks) == 7
+    # every thread count gives the same bytes from the same blocks
+    for other in (1, 2, 3):
+        again, again_t = products_at(monkeypatch, other, a, b, c)
+        assert again.tobytes() == out.tobytes() and again_t.tobytes() == t.tobytes()
     ranges = spy_blocks[0]
-    assert len(ranges) == threads
+    assert all(seen == ranges for seen in spy_blocks)
+    assert len(ranges) == ic.linalg._BLOCKS == 8
     assert ranges[0][0] == 0 and ranges[-1][1] == a.shape[0]
     assert all(r1 == s0 for (_, r1), (s0, _) in zip(ranges, ranges[1:]))
     # nnz-balanced, not row-balanced: each block is within one heavy row of its share
     block_nnz = [a.indptr[r1] - a.indptr[r0] for r0, r1 in ranges]
-    assert all(abs(m - a.nnz / threads) <= 100 for m in block_nnz)
+    assert all(abs(m - a.nnz / len(ranges)) <= 100 for m in block_nnz)
 
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_row_blocked_edge_cases(monkeypatch, spy_blocks, threads):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 0)
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 1)
     rng = rng_for(33)
     dense = rng.standard_normal((50, 12)) * (rng.random((50, 12)) < 0.3)
     dense[10:40] = 0.0  # a run of empty rows across the cuts
@@ -361,15 +371,17 @@ def test_row_blocked_edge_cases(monkeypatch, spy_blocks, threads):
         for k in (1, 4):
             b = rng.standard_normal((a.shape[1], k))
             c = rng.standard_normal((a.shape[0], k))
-            out = sparse_dense_mul(a, b)
+            out, t = products_at(monkeypatch, threads, a, b, c)
             assert out.shape == (a.shape[0], k)
             assert out.tobytes() == (a @ b).tobytes()
-            t = sparse_transpose_dense_mul(a, c)
             ref = a.T @ c
             assert t.shape == (a.shape[1], k)
             np.testing.assert_allclose(t, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref), initial=0.0))
-    # the parallel path ran on the cases that have two non-empty ranges
-    assert spy_blocks and all(len(r) > 1 for r in spy_blocks)
+            for other in (1, 2, 3):
+                again, again_t = products_at(monkeypatch, other, a, b, c)
+                assert again.tobytes() == out.tobytes() and again_t.tobytes() == t.tobytes()
+    # the blocked path ran on the cases that have two non-empty ranges
+    assert spy_blocks and all(1 < len(r) <= ic.linalg._BLOCKS for r in spy_blocks)
     assert all(r0 < r1 for ranges in spy_blocks for r0, r1 in ranges)
 
 
@@ -388,9 +400,20 @@ def test_row_blocks_start_at_the_work_threshold(monkeypatch, spy_blocks):
     assert len(spy_blocks) == 1
 
 
+def test_block_count_follows_the_work_alone(monkeypatch):
+    a = fixed_row_nnz(4000, 50, 5, seed=58)  # nnz 20,000
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 100_000)
+    counts = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+        counts[threads] = [len(ic.linalg._row_ranges(a, k)) for k in (4, 5, 14, 15, 40, 45, 400)]
+    # one block per 100,000 multiplies, at least two and at most eight
+    assert counts[1] == counts[2] == counts[3] == [1, 2, 2, 3, 8, 8, 8]
+
+
 def test_row_blocks_leave_other_formats_and_dtypes_serial(monkeypatch):
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 0)
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 1)
     a = random_sparse(30, 8, 0.5, seed=36)
     b = rng_for(37).standard_normal((8, 3))
     for other in (sparse.csc_array(a), sparse.csr_array(a, dtype=np.float32)):
@@ -461,6 +484,118 @@ def test_sparse_dense_mul_rejects_out_sharing_memory_with_b():
     b = rng_for(47).standard_normal((5, 5))
     with pytest.raises(ValueError, match="share memory"):
         sparse_dense_mul(a, b, out=b)
+
+
+def fused_products(a, b, g, m, s):
+    """Bytes of both fused kernels: a.T @ (b - m * s) with the updated b, and a @ g with col_sq."""
+    b = b.copy()
+    t = sparse_transpose_dense_mul(a, b, minus=(m, s))
+    col_sq = np.full(g.shape[1], np.nan)
+    out = sparse_dense_mul(a, g, col_sq=col_sq)
+    return [t.tobytes(), b.tobytes(), out.tobytes(), col_sq.tobytes()]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_fused_kernels_match_the_separate_passes(monkeypatch, threads):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 300_000)
+    skewed = ic.as_sparse(sparse.vstack([fixed_row_nnz(1000, 300, 100, seed=30),
+                                         fixed_row_nnz(5000, 300, 4, seed=29)]))
+    small = random_sparse(30, 8, 0.5, seed=36)
+    # k = 20 on the skewed matrix is cut into row blocks, the rest is one block
+    for a, k in ((skewed, 20), (skewed, 1), (small, 3)):
+        rng = rng_for(48)
+        b = rng.standard_normal((a.shape[0], k))
+        m = rng.standard_normal((a.shape[0], k))
+        s = rng.standard_normal(k)
+        g = rng.standard_normal((a.shape[1], k))
+        updated = b.copy()
+        t = sparse_transpose_dense_mul(a, updated, minus=(np.asfortranarray(m), s))
+        # the same elementwise arithmetic as the broadcast, and the product of its result
+        assert updated.tobytes() == (b - m * s).tobytes()
+        assert t.tobytes() == sparse_transpose_dense_mul(a, updated).tobytes()
+        updated = b.copy()
+        t = sparse_transpose_dense_mul(a, updated, minus=(m, None))
+        assert updated.tobytes() == (b - m).tobytes()
+        assert t.tobytes() == sparse_transpose_dense_mul(a, updated).tobytes()
+        col_sq = np.full(k, np.nan)
+        out = sparse_dense_mul(a, g, col_sq=col_sq)
+        assert out.tobytes() == (a @ g).tobytes()
+        np.testing.assert_allclose(col_sq, np.sum(out * out, axis=0), rtol=1e-13)
+
+
+def test_fused_kernels_refuse_a_b_they_cannot_update_in_place():
+    a = random_sparse(6, 4, 0.5, seed=49)
+    m, s = rng_for(50).standard_normal((6, 3)), np.ones(3)
+    read_only = np.zeros((6, 3))
+    read_only.flags.writeable = False
+    for bad in (np.zeros((6, 3), order="F"), np.zeros((6, 3), dtype=np.float32),
+                read_only, np.zeros((6, 3)).tolist(), np.zeros((12, 3))[::2]):
+        with pytest.raises(ValueError, match="b must be a writable C-contiguous float64"):
+            sparse_transpose_dense_mul(a, bad, minus=(m, s))
+    # the same arrays are fine without minus, which only reads b
+    assert sparse_transpose_dense_mul(a, np.zeros((6, 3), order="F")).shape == (4, 3)
+
+
+def test_fused_kernels_refuse_b_sharing_memory_with_m():
+    a = random_sparse(6, 4, 0.5, seed=51)
+    b = rng_for(52).standard_normal((6, 3))
+    before = b.copy()
+    for m in (b, b[:, ::-1], b.T.T):
+        with pytest.raises(ValueError, match="b must not share memory with m"):
+            sparse_transpose_dense_mul(a, b, minus=(m, np.ones(3)))
+    assert b.tobytes() == before.tobytes()
+
+
+def test_fused_kernels_refuse_minus_of_the_wrong_shape():
+    a = random_sparse(6, 4, 0.5, seed=53)
+    b = np.zeros((6, 3))
+    for m, s in ((np.ones((6, 2)), np.ones(3)), (np.ones((6, 3)), np.ones(2)),
+                 (np.ones((5, 3)), np.ones(3)), (np.ones((6, 3)), np.ones((3, 1)))):
+        with pytest.raises(ValueError, match="minus must be"):
+            sparse_transpose_dense_mul(a, b, minus=(m, s))
+
+
+def test_fused_kernels_refuse_col_sq_that_is_not_a_float64_vector_of_length_k():
+    a = random_sparse(6, 4, 0.5, seed=54)
+    g = np.ones((4, 3))
+    read_only = np.zeros(3)
+    read_only.flags.writeable = False
+    for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros(3, dtype=np.float32), [0.0] * 3, read_only):
+        with pytest.raises(ValueError, match="col_sq must be a writable float64 array of shape"):
+            sparse_dense_mul(a, g, col_sq=bad)
+
+
+def test_fused_kernels_under_more_threads_than_cores_keep_the_one_thread_bytes(monkeypatch):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 300_000)  # eight blocks
+    a = fixed_row_nnz(6000, 300, 20, seed=55)
+    rng = rng_for(56)
+    b, m = rng.standard_normal((6000, 20)), rng.standard_normal((6000, 20))
+    s, g = rng.standard_normal(20), rng.standard_normal((300, 20))
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 1)
+    want = fused_products(a, b, g, m, s)
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", ic.linalg._usable_cores() + 3)
+    monkeypatch.setattr(ic.linalg, "_pool", None)  # a pool with one worker per extra thread
+    bad, done = [], []
+
+    def caller():
+        for _ in range(20):
+            if fused_products(a, b, g, m, s) != want:
+                bad.append("bytes")
+        done.append(True)
+
+    worker = threading.Thread(target=caller)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        if ic.linalg._pool is not None:
+            ic.linalg._pool[1].shutdown(wait=False)
+    assert not worker.is_alive()
+    assert done == [True] and bad == []
 
 
 def test_as_sparse_returns_its_own_output_unchanged():
@@ -540,3 +675,52 @@ def test_import_sizes_row_blocks_and_blas_timeout_from_thread_count():
                           capture_output=True, text=True, timeout=120, check=True)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert done.stdout.split() == [str(min(2, cores)), "4"]
+
+
+SOLVE_AND_HASH = """
+import hashlib
+import numpy as np
+import itercca as ic
+
+rng = np.random.Generator(np.random.PCG64(57))
+n, per_row = 20_000, 12
+
+
+def side(p):
+    cols = np.argsort(rng.random((n, p)), axis=1)[:, :per_row]
+    rows = np.repeat(np.arange(n), per_row)
+    return ic.as_sparse((rng.standard_normal(n * per_row), (rows, cols.ravel())), shape=(n, p))
+
+
+x, y = side(200), side(150)
+# k_cca = 10 makes nnz * k = 2,400,000, past the row-block threshold
+runs = {
+    "l_cca": lambda: ic.l_cca(x, y, 10, 3, ic.LingConfig(k_pc=20, t2=2, seed=1)),
+    "g_cca": lambda: ic.g_cca(x, y, 10, 3, 2, seed=1),
+    "d_cca": lambda: ic.d_cca(x, y, 10, 3, seed=1),
+    "rp_cca": lambda: ic.rp_cca(x, y, 10, 30, seed=1),
+}
+print(ic.linalg._ROW_BLOCKS)
+for name, run in runs.items():
+    r = run()
+    digest = hashlib.sha256()
+    for part in (r.x_basis, r.y_basis, r.correlations):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    print(name, digest.hexdigest())
+"""
+
+
+def test_solvers_give_the_same_bytes_at_one_and_two_threads():
+    if ic.linalg._usable_cores() < 2:
+        pytest.skip("two threads need two usable cores")
+    src = str(Path(ic.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        # OpenBLAS rounds the dense products by its own thread count, so pin it
+        env = {**os.environ, "PYTHONPATH": src, "ITERCCA_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", SOLVE_AND_HASH], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(done.stdout.split("\n"))
+    assert [lines[0] for lines in outputs] == ["1", "2"]
+    assert outputs[0][1:] == outputs[1][1:]
