@@ -32,7 +32,6 @@ from .cca import (
     ConvergenceTrace,
     ExactCcaFactors,
     IterationFailure,
-    SingularGramError,
     d_cca,
     exact_cca,
     exact_cca_result,
@@ -62,7 +61,6 @@ __all__ = [
     "IterationFailure",
     "LingConfig",
     "NonFiniteError",
-    "SingularGramError",
     "SynthSpec",
     "TokenDatasetSpec",
     "as_sparse",

@@ -3,10 +3,12 @@
 One exact desk-scale solver plus a family of large-scale approximations
 that share a single driver:
 
-* exact_cca — whiten both Gram matrices by symmetric eigendecomposition
-  and take the SVD of the whitened cross-covariance.  The reference
-  answer everything else is measured against; column counts are capped
-  because it materializes p-by-p Grams.
+* exact_cca — whiten both sides on their column spaces (the Grams'
+  eigendirections above a relative floor) and take the SVD of the
+  whitened cross-covariance.  Dependent columns need no repair: CCA sees
+  a side only through its column space.  The reference answer everything
+  else is measured against; column counts are capped because it
+  materializes p-by-p Grams.
 * iterative_ls_cca — orthogonal iteration where every half-step is a
   least-squares projection onto one side's column space, with a thin QR
   after every solve.  The LS solver is pluggable, which is the whole
@@ -49,25 +51,17 @@ from .rsvd import randomized_top_singulars
 # exact_cca materializes p-by-p Grams; refuse silly column counts.
 MAX_ORACLE_COLS = 2048
 
+# exact_cca's rank: unit-diagonal Gram eigenvalues above this times their mean.
 _EIG_FLOOR_REL = 1e-10
-_RIDGE_REL = 1e-8
+
+# exact_cca and rp_cca refuse a k_cca above either side's rank with this.
+_BELOW_RANK = "data rank below k_cca; no full-size canonical basis exists"
 
 # Rounds of column replacement a rank-collapsed iterate gets before failing.
 _MAX_RESTARTS = 5
 
 # A side whose largest |value| lies outside 2**±_SCALE_BAND is scaled into it.
 _SCALE_BAND = 64
-
-
-class SingularGramError(ValueError):
-    """A Gram matrix is numerically singular and ridge repair is off."""
-
-    def __init__(self, side, detail):
-        self.side = side
-        super().__init__(
-            f"gram matrix of side {side!r} is numerically singular ({detail}); "
-            "enable ridge repair or drop dependent columns"
-        )
 
 
 class IterationFailure(np.linalg.LinAlgError):
@@ -184,43 +178,30 @@ def _checked_pair(x, y, k_cca, t1=None, reference=None, seed=None):
     )
 
 
-def _inverse_sqrt_gram(c, side, ridge):
-    """Whitening factor w, w.T c w = I, of a symmetric PSD Gram c.
+def _whitening(c):
+    """p-by-r factor w, w.T c w = I_r, of a symmetric PSD Gram c of numerical rank r.
 
     c = s c1 s with s the column norms (1 for a zero-norm column) and c1
-    of unit diagonal, so the singularity test below does not depend on
-    column scale; w = s^-1 c1^(-1/2), by eigendecomposition of c1.
-    Eigenvalues of c1 below 1e-10 * trace/p mark it numerically
-    singular: either an error, or (ridge=True) the whole spectrum is
-    shifted up by 1e-8 * trace/p and inversion proceeds on the shifted
-    matrix.
+    of unit diagonal, so the rank does not depend on column scale.  The
+    eigendirections of c1 above 1e-10 * trace/p span its column space,
+    and w = s^-1 V_r diag(evals_r)^(-1/2).  An all-zero c has r = 0.
     """
     norms = np.sqrt(np.diag(c))
     s = np.where(norms > 0.0, norms, 1.0)
     c = c / np.outer(s, s)
-    p = c.shape[0]
-    trace = float(np.trace(c))
-    if trace <= 0.0:
-        raise SingularGramError(side, "trace is zero")
     evals, evecs = np.linalg.eigh(c)
-    floor = _EIG_FLOOR_REL * trace / p
-    n_bad = int(np.count_nonzero(evals < floor))
-    if n_bad:
-        if not ridge:
-            raise SingularGramError(side, f"{n_bad} eigenvalues below {floor:.3e}")
-        evals = evals + _RIDGE_REL * trace / p
-        if evals[0] <= 0.0:
-            raise SingularGramError(side, "not repairable by ridge shift")
-    return ((evecs / np.sqrt(evals)) @ evecs.T) / s[:, None]
+    keep = evals > _EIG_FLOOR_REL * np.trace(c) / c.shape[0]
+    return evecs[:, keep] / np.sqrt(evals[keep]) / s[:, None]
 
 
-def exact_cca(x, y, k_cca, ridge=False):
+def exact_cca(x, y, k_cca):
     """Top-k_cca canonical correlations and loadings, solved exactly.
 
-    Whitens both Grams with inverse square-root factors and takes the SVD
-    of the whitened cross-covariance; the singular values are the
+    Whitens each side on its column space and takes the SVD of the
+    r_x-by-r_y whitened cross-covariance; the singular values are the
     canonical correlations, and mapping the singular vectors back through
-    the whitening factors gives the loadings.  Desk scale only.  The
+    the whitening factors gives the loadings.  A k_cca above either
+    side's numerical rank raises ValueError.  Desk scale only.  The
     solve runs on the band-shifted pair, and the loadings are shifted
     back to the scale of x and y.
     """
@@ -231,12 +212,11 @@ def exact_cca(x, y, k_cca, ridge=False):
     if p > MAX_ORACLE_COLS:
         raise ValueError(f"exact solver is desk-scale only (p <= {MAX_ORACLE_COLS}), got {p}")
 
-    cxx = sparse_gram(x)
-    cyy = sparse_gram(y)
-    cxy = sparse_gram(x, y)
-    wx = _inverse_sqrt_gram(cxx, "x", ridge)
-    wy = _inverse_sqrt_gram(cyy, "y", ridge)
-    u, d, vt = np.linalg.svd(wx.T @ cxy @ wy)
+    wx = _whitening(sparse_gram(x))
+    wy = _whitening(sparse_gram(y))
+    if k_cca > min(wx.shape[1], wy.shape[1]):
+        raise ValueError(f"{_BELOW_RANK} (ranks x {wx.shape[1]}, y {wy.shape[1]})")
+    u, d, vt = np.linalg.svd(wx.T @ sparse_gram(x, y) @ wy)
     return ExactCcaFactors(
         d=d[:k_cca],
         x_loadings=np.ldexp(wx @ u[:, :k_cca], shifts[0]),
@@ -245,21 +225,20 @@ def exact_cca(x, y, k_cca, ridge=False):
 
 
 @_metered
-def exact_cca_result(x, y, k_cca, ridge=False):
+def exact_cca_result(x, y, k_cca):
     """exact_cca packaged as a CcaResult for cross-algorithm comparison.
 
     The canonical-variable blocks are re-orthonormalized by QR (they are
-    orthonormal only up to the solver's own tolerance, and ridge repair
-    can push them further) and the correlations recomputed between the
-    cleaned bases.
+    orthonormal only up to the solver's own tolerance) and the
+    correlations recomputed between the cleaned bases.
     """
     x, y = _checked_pair(x, y, k_cca)
-    factors = exact_cca(x, y, k_cca, ridge=ridge)
+    factors = exact_cca(x, y, k_cca)
     bases = []
-    for side, a, loadings in (("x", x, factors.x_loadings), ("y", y, factors.y_loadings)):
+    for a, loadings in ((x, factors.x_loadings), (y, factors.y_loadings)):
         q, r = thin_qr(sparse_dense_mul(a, loadings))
         if rank_deficient_columns(r).size:
-            raise SingularGramError(side, "canonical variables are rank deficient")
+            raise ValueError(_BELOW_RANK)
         bases.append(q)
     return CcaResult(bases[0], bases[1], final_correlations(bases[0], bases[1]))
 
@@ -477,7 +456,7 @@ def rp_cca(x, y, k_cca, k_rpcca, seed=0):
                 stacklevel=3,  # past rp_cca's _metered wrapper
             )
     if min(basis_x.u1.shape[1], basis_y.u1.shape[1]) < k_cca:
-        raise ValueError("data rank below k_cca; no full-size canonical basis exists")
+        raise ValueError(_BELOW_RANK)
 
     u, d, vt = np.linalg.svd(basis_x.u1.T @ basis_y.u1)
     x_basis = basis_x.u1 @ u[:, :k_cca]

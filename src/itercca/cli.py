@@ -55,8 +55,7 @@ class _Algo(NamedTuple):
 # looks its solver up in this module when it is called, so a solver
 # rebound here (to capture or trace its results) is the one that runs.
 _ALGOS = {
-    "exact": _Algo((), lambda c, x, y, ref: exact_cca_result(
-        x, y, c.kcca, ridge=c.ridge)),
+    "exact": _Algo((), lambda c, x, y, ref: exact_cca_result(x, y, c.kcca)),
     "lcca": _Algo(("t1", "t2", "kpc"), lambda c, x, y, ref: l_cca(
         x, y, c.kcca, c.t1, LingConfig(k_pc=c.kpc, t2=c.t2, seed=c.seed),
         trace=c.trace, reference=ref)),
@@ -120,8 +119,6 @@ def _validate(config):
         raise ValueError(f"--trace does not apply to algorithm {config.algo!r}")
     if config.oracle_compare and config.algo == "exact":
         raise ValueError("--oracle-compare is redundant for the exact algorithm")
-    if config.ridge and config.algo != "exact" and not config.oracle_compare:
-        raise ValueError("--ridge applies to the exact solver (directly or via --oracle-compare)")
 
 
 def _load_dataset(config):
@@ -196,7 +193,7 @@ def _solve(config, x, y, out=None):
     try:
         oracle = reference = None
         if config.oracle_compare:
-            oracle = exact_cca_result(x, y, config.kcca, ridge=config.ridge)
+            oracle = exact_cca_result(x, y, config.kcca)
             if config.trace:
                 reference = (oracle.x_basis, oracle.y_basis)
         return _ALGOS[config.algo].run(config, x, y, reference), oracle
@@ -345,8 +342,6 @@ def _add_data_flags(p):
                    help="number of canonical pairs (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--ridge", action="store_true",
-                   help="repair singular Grams in the exact solver by a ridge shift")
     p.add_argument("--x-vocab-limit", type=int)
     p.add_argument("--y-vocab-limit", type=int)
     p.add_argument("--x-drop-top", type=int,

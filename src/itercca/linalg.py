@@ -213,7 +213,7 @@ def _map_blocks(fn, ranges):
 
 
 def _chunk_rows(n, k):
-    return max(1, min(_CHUNK_ENTRIES // k, n // 16))
+    return max(1, min(_CHUNK_ENTRIES // max(k, 1), n // 16))
 
 
 def _row_chunks(r0, r1, rows):

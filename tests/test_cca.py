@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import linalg, sparse
 
 import itercca as ic
 from itercca import cli
@@ -63,15 +63,30 @@ def test_exact_cca_matches_brute_force_on_planted_instance():
     np.testing.assert_allclose(factors.d, expected, atol=1e-10)
 
 
-def test_exact_cca_raises_on_singular_gram_and_ridge_recovers():
+def test_exact_cca_solves_a_duplicated_column_on_the_column_space():
     base = rng_for(4).standard_normal((30, 5))
     x = ic.as_sparse(np.hstack([base, base[:, :1]]))
-    y = random_sparse(30, 4, 0.6, seed=5)
-    with pytest.raises(ic.SingularGramError) as exc:
-        ic.exact_cca(x, y, k_cca=2)
-    assert exc.value.side == "x"
-    factors = ic.exact_cca(x, y, k_cca=2, ridge=True)
-    assert np.all((factors.d >= 0.0) & (factors.d <= 1.0 + 1e-10))
+    y = random_sparse(30, 7, 0.6, seed=5)
+    want = ic.exact_cca_result(ic.as_sparse(base), y, k_cca=5).correlations
+    np.testing.assert_allclose(ic.exact_cca_result(x, y, k_cca=5).correlations, want, atol=1e-10)
+    with pytest.raises(ValueError, match=r"data rank below k_cca.*ranks x 5, y 7"):
+        ic.exact_cca(x, y, k_cca=6)
+
+
+def test_exact_cca_answers_on_the_column_space_and_refuses_past_its_rank():
+    # x has rank 4 of 12 columns; CCA sees only range(x) and range(y).
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        x = rng.standard_normal((200, 4)) @ rng.standard_normal((4, 12))
+        y = rng.standard_normal((200, 10))
+        want = np.linalg.svd(linalg.orth(x).T @ linalg.orth(y), compute_uv=False)
+        x, y = ic.as_sparse(x), ic.as_sparse(y)
+        for k in (3, 4):
+            np.testing.assert_allclose(
+                ic.exact_cca_result(x, y, k).correlations, want[:k], rtol=0, atol=1e-10
+            )
+        with pytest.raises(ValueError, match="data rank below k_cca"):
+            ic.exact_cca_result(x, y, 6)
 
 
 def test_exact_cca_enforces_desk_scale_and_k_bounds():
@@ -370,7 +385,7 @@ def test_all_algorithms_survive_poor_conditioning():
     x = ic.as_sparse(np.hstack([base, base[:, :2] + 1e-4 * rng_for(17).standard_normal((80, 2))]))
     y = random_sparse(80, 7, 0.6, seed=18)
     runs = [
-        ic.exact_cca_result(x, y, 3, ridge=True),
+        ic.exact_cca_result(x, y, 3),
         ic.l_cca(x, y, 3, t1=8, ling_cfg=ic.LingConfig(k_pc=4, t2=20, seed=0)),
         ic.g_cca(x, y, 3, t1=8, t2=20, seed=0),
         ic.d_cca(x, y, 3, t1=8, seed=0),
@@ -609,7 +624,7 @@ def test_bases_stay_in_the_column_space_of_a_rank_five_side():
 
 
 @pytest.mark.parametrize("solve, error, message", [
-    (lambda x, y: ic.exact_cca(x, y, 2), ic.SingularGramError, "trace is zero"),
+    (lambda x, y: ic.exact_cca(x, y, 2), ValueError, "data rank below k_cca"),
     (lambda x, y: ic.l_cca(x, y, 2, t1=2, ling_cfg=ic.LingConfig(k_pc=1, t2=2)),
      ic.IterationFailure, "stayed rank-deficient"),
     (lambda x, y: ic.g_cca(x, y, 2, t1=2, t2=2, seed=0), ic.IterationFailure,
@@ -703,8 +718,12 @@ def test_exact_correlations_obey_the_invariances_of_cca(
     np.testing.assert_allclose(
         exact_correlations(x * scales[:p1], y * scales[p1:p1 + p2], k), want, atol=1e-9
     )
-    with pytest.raises(ic.SingularGramError):
-        exact_correlations(np.hstack([x * scales[:p1], x[:, :1] * scales[-1]]), y, k)
+    duplicated = np.hstack([x * scales[:p1], x[:, :1] * scales[-1]])
+    np.testing.assert_allclose(exact_correlations(duplicated, y, k), want, atol=1e-9)
+    # an invertible mixing of x's columns keeps range(x); condition number <= 4
+    rng = rng_for(seed + 2)
+    mixing = np.linalg.qr(rng.standard_normal((p1, p1)))[0] * rng.uniform(0.5, 2.0, p1)
+    np.testing.assert_allclose(exact_correlations(x @ mixing, y, k), want, atol=1e-9)
     np.testing.assert_allclose(exact_correlations(y, x, k), want, atol=1e-9)
 
 
@@ -719,8 +738,7 @@ def test_every_algorithm_reports_sorted_correlations_in_the_unit_interval(seed, 
     y = random_sparse(80, 6, density, seed=seed + 1)
     for name, algo in cli._ALGOS.items():
         budget = {param: SMALL_BUDGET[param] for param in algo.params}
-        config = argparse.Namespace(algo=name, kcca=2, seed=seed, trace=False, ridge=False,
-                                    **budget)
+        config = argparse.Namespace(algo=name, kcca=2, seed=seed, trace=False, **budget)
         corrs = algo.run(config, x, y, None).correlations
         assert corrs.shape == (2,), name
         assert np.all(np.isfinite(corrs)), name

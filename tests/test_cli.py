@@ -136,14 +136,12 @@ INCONSISTENT_CONFIGS = [
     (["--algo", "exact", "--trace"], "--trace does not apply"),
     (["--algo", "exact", "--oracle-compare"], "--oracle-compare is redundant"),
     (["--algo", "rpcca", "--krpcca", "2"], "--krpcca must be >= --kcca"),
-    (["--algo", "exact", "--ridge", "--t1", "4"], "--t1 does not apply"),
+    (["--algo", "exact", "--t1", "4"], "--t1 does not apply"),
     (["--algo", "exact", "--kcca", "0"], "--kcca must be an integer >= 1, got 0"),
     (["--algo", "gcca", "--t1", "2", "--t2", "-1"], "--t2 must be an integer >= 0, got -1"),
     (["--algo", "lcca", "--t1", "2", "--t2", "1", "--kpc", "-1"],
      "--kpc must be an integer >= 0, got -1"),
     (["--algo", "dcca", "--t1", "2", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
-    (["--algo", "lcca", "--t1", "2", "--t2", "1", "--kpc", "2", "--ridge"],
-     "--ridge applies to the exact solver"),
     (["--algo", "exact", "--x-vocab-limit", "5"], "--x-vocab-limit applies only with --tokens"),
     (["--algo", "exact", "--boundary-token", "."],
      "--boundary-token applies only with --tokens"),
@@ -398,14 +396,14 @@ def test_compare_rejects_malformed_run_spec(tmp_path, capsys):
 
 
 def test_compare_solver_failures_exit_one_like_run(tmp_path, capsys):
-    base = rng_for(4).standard_normal((30, 5))
-    singular = tmp_path / "singular.mtx"
-    ic.write_matrix_market(singular, ic.as_sparse(np.hstack([base, base[:, :1]])))
+    base = rng_for(4).standard_normal((30, 2))
+    rank_two = tmp_path / "rank_two.mtx"
+    ic.write_matrix_market(rank_two, ic.as_sparse(np.hstack([base, base])))
     y30, y40 = tmp_path / "y30.mtx", tmp_path / "y40.mtx"
     ic.write_matrix_market(y30, random_sparse(30, 4, 0.6, seed=5))
     ic.write_matrix_market(y40, random_sparse(40, 4, 0.6, seed=5))
-    for x, y, message in ((singular, y30, "numerically singular"), (y30, y40, "row mismatch")):
-        data = ["--x", str(x), "--y", str(y), "--format", "mm", "--kcca", "2"]
+    for x, y, message in ((rank_two, y30, "data rank below k_cca"), (y30, y40, "row mismatch")):
+        data = ["--x", str(x), "--y", str(y), "--format", "mm", "--kcca", "3"]
         run = cli.main(["run", "--algo", "exact", *data, "--out", str(tmp_path / "out")])
         assert message in capsys.readouterr().err
         assert cli.main(["compare", *data, "--run", "algo=exact"]) == run == 1

@@ -503,7 +503,7 @@ def test_fused_kernels_match_the_separate_passes(monkeypatch, threads):
                                          fixed_row_nnz(5000, 300, 4, seed=29)]))
     small = random_sparse(30, 8, 0.5, seed=36)
     # k = 20 on the skewed matrix is cut into row blocks, the rest is one block
-    for a, k in ((skewed, 20), (skewed, 1), (small, 3)):
+    for a, k in ((skewed, 20), (skewed, 1), (small, 3), (small, 0)):
         rng = rng_for(48)
         b = rng.standard_normal((a.shape[0], k))
         m = rng.standard_normal((a.shape[0], k))

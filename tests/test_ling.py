@@ -121,10 +121,11 @@ def test_gd_orthonormal_design_converges_in_one_step():
 def test_gd_and_solve_take_only_n_by_k_blocks():
     x = random_sparse(10, 4, 0.6, seed=4)
     y = rng_for(5).standard_normal((10, 1))
-    assert gd_least_squares(x, y, 3).shape == y.shape
     solvers = [build_solver(x, ic.LingConfig(k_pc=k_pc, t2=3)) for k_pc in (0, 2)]
-    for solver in solvers:
-        assert ling_solve(solver, y).shape == y.shape
+    for block in (y, np.zeros((10, 0))):
+        assert gd_least_squares(x, block, 3).shape == block.shape
+        for solver in solvers:
+            assert ling_solve(solver, block).shape == block.shape
     for bad in (y[:, 0], y[:9], y[None]):
         message = re.escape(f"got shape {bad.shape}")
         with pytest.raises(ValueError, match=message):
