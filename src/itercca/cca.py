@@ -17,8 +17,8 @@ that share a single driver:
   special case) plugged into the driver.
 * d_cca — projection approximated by inverting only diag(Gram); exact
   when columns have disjoint supports (indicator data).
-* rp_cca — no iteration at all: exact CCA between randomized top
-  singular bases of the two sides.
+* rp_cca — l_cca with no gradient steps, which returns the driver's limit
+  at once: exact CCA between randomized top singular bases of the sides.
 
 All entry points are deterministic given their seed and report wall time
 plus the sparse multiply count consumed, so runs can be compared at
@@ -46,7 +46,6 @@ from .linalg import (
     thin_qr,
 )
 from .ling import LingConfig, build_solver, ling_solve
-from .rsvd import randomized_top_singulars
 
 # exact_cca materializes p-by-p Grams; refuse silly column counts.
 MAX_ORACLE_COLS = 2048
@@ -54,7 +53,7 @@ MAX_ORACLE_COLS = 2048
 # exact_cca's rank: unit-diagonal Gram eigenvalues above this times their mean.
 _EIG_FLOOR_REL = 1e-10
 
-# exact_cca and rp_cca refuse a k_cca above either side's rank with this.
+# exact_cca and zero-step l_cca refuse a k_cca above either side's rank with this.
 _BELOW_RANK = "data rank below k_cca; no full-size canonical basis exists"
 
 # Rounds of column replacement a rank-collapsed iterate gets before failing.
@@ -367,12 +366,28 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     built once and reused across all t1 outer iterations.  Sub-seeds for
     the random start and the two basis computations are derived from
     ling_cfg.seed, so one integer pins the whole run.
+
+    With k_pc > 0 and t2 = 0 each solve is the exact projection onto a
+    basis, so the loop's limit, the exact CCA of the two bases, is
+    returned at once, whatever t1.  A basis narrower than k_cca raises
+    ValueError, as do trace and reference, which need the loop.
     """
     x, y = _checked_pair(x, y, k_cca, t1, reference)
+    zero_step = ling_cfg.k_pc > 0 and ling_cfg.t2 == 0
+    if zero_step and (trace or reference is not None):
+        name = "trace" if trace else "reference"
+        raise ValueError(f"{name} needs an outer loop; l_cca at k_pc > 0, t2 = 0 runs none")
     children = np.random.SeedSequence(ling_cfg.seed).spawn(3)
     seed_init, seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
     solver_x = build_solver(x, replace(ling_cfg, seed=seed_x))
     solver_y = build_solver(y, replace(ling_cfg, seed=seed_y))
+    if zero_step:
+        u1_x, u1_y = solver_x.basis.u1, solver_y.basis.u1
+        if min(u1_x.shape[1], u1_y.shape[1]) < k_cca:
+            raise ValueError(f"{_BELOW_RANK} (basis ranks x {u1_x.shape[1]}, y {u1_y.shape[1]})")
+        u, _, vt = np.linalg.svd(u1_x.T @ u1_y)
+        bases = (u1_x @ u[:, :k_cca], u1_y @ vt[:k_cca].T)
+        return CcaResult(*bases, final_correlations(*bases))
     return iterative_ls_cca(
         x,
         y,
@@ -431,34 +446,14 @@ def d_cca(x, y, k_cca, t1, seed, trace=False, reference=None):
     )
 
 
-@_metered
 def rp_cca(x, y, k_cca, k_rpcca, seed=0):
-    """CCA restricted to randomized top singular bases of both sides.
+    """Exact CCA between rank-k_rpcca randomized range bases: zero-step l_cca.
 
-    Computes a rank-k_rpcca orthonormal range basis per side, then an
-    exact CCA between the bases; their Grams are identity, so whitening
-    is trivial and the correlations are the singular values of the k-by-k
-    cross product.  Correlation living outside the kept singular
-    directions is invisible to this method by construction.
+    Correlation living outside the kept singular directions is invisible
+    to this method by construction.
     """
     x, y = _checked_pair(x, y, k_cca, seed=seed)
     check_count("k_rpcca", k_rpcca, 1)
     if not k_cca <= k_rpcca <= min(*x.shape, y.shape[1]):
         raise ValueError(f"k_rpcca={k_rpcca} outside [k_cca={k_cca}, {min(*x.shape, y.shape[1])}]")
-    children = np.random.SeedSequence(seed).spawn(2)
-    seed_x, seed_y = (int(c.generate_state(1)[0]) for c in children)
-    basis_x = randomized_top_singulars(x, k_rpcca, seed=seed_x)
-    basis_y = randomized_top_singulars(y, k_rpcca, seed=seed_y)
-    for side, basis in (("x", basis_x), ("y", basis_y)):
-        if basis.rank_deficient:
-            warnings.warn(
-                f"side {side!r} has rank {basis.u1.shape[1]} < k_rpcca={k_rpcca}",
-                stacklevel=3,  # past rp_cca's _metered wrapper
-            )
-    if min(basis_x.u1.shape[1], basis_y.u1.shape[1]) < k_cca:
-        raise ValueError(_BELOW_RANK)
-
-    u, d, vt = np.linalg.svd(basis_x.u1.T @ basis_y.u1)
-    x_basis = basis_x.u1 @ u[:, :k_cca]
-    y_basis = basis_y.u1 @ vt[:k_cca].T
-    return CcaResult(x_basis, y_basis, final_correlations(x_basis, y_basis))
+    return l_cca(x, y, k_cca, 1, LingConfig(k_pc=k_rpcca, t2=0, seed=seed))

@@ -115,8 +115,10 @@ def _validate(config):
     if config.krpcca is not None and config.krpcca < config.kcca:
         raise ValueError("--krpcca must be >= --kcca")
 
-    if config.trace and "t1" not in algo.params:
-        raise ValueError(f"--trace does not apply to algorithm {config.algo!r}")
+    zero_step = config.algo == "lcca" and config.t2 == 0  # l_cca runs no loop there
+    if config.trace and ("t1" not in algo.params or zero_step):
+        where = " at --t2 0" if zero_step else ""
+        raise ValueError(f"--trace does not apply to algorithm {config.algo!r}{where}")
     if config.oracle_compare and config.algo == "exact":
         raise ValueError("--oracle-compare is redundant for the exact algorithm")
 

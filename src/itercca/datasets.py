@@ -348,6 +348,8 @@ def tokens_to_indicators(spec):
             raise ValueError("token stream is empty after boundary removal")
         clear = (a != skip) & (b != skip)  # bigrams not touching the boundary
         a, b = a[clear], b[clear]
+    if not a.size:
+        raise ValueError("token stream has no bigrams")
 
     x_col, p1 = _role_columns(a, len(index), skip, spec.x_drop_top, spec.x_vocab_limit)
     y_col, p2 = _role_columns(b, len(index), skip, spec.y_drop_top, spec.y_vocab_limit)

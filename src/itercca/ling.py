@@ -45,10 +45,10 @@ class LingConfig:
     """Solver parameters.
 
     k_pc = 0 disables deflation entirely (pure gradient descent); t2 = 0
-    disables the descent, leaving only the projection onto the top
-    singular directions.  k_pc, t2, rsvd_power_iters and seed are
-    integers >= 0.  The range finder's sketch oversamples by the constant
-    `rsvd.OVERSAMPLE`, readable here as `rsvd_oversample`.
+    leaves only the projection onto the top singular directions, where
+    `cca.l_cca` returns the exact CCA of the two bases.  k_pc, t2,
+    rsvd_power_iters and seed are integers >= 0.  The range finder's
+    sketch oversamples by `rsvd.OVERSAMPLE`, read here as `rsvd_oversample`.
     """
 
     k_pc: int

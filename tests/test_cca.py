@@ -192,6 +192,32 @@ def test_l_cca_full_deflation_equals_randomized_projection_route():
     assert ic.subspace_dist(lc.y_basis, rp.y_basis) <= 1e-8
 
 
+def test_zero_step_l_cca_is_rp_cca_bitwise_at_the_range_finders_work():
+    x, y = tall_zipf_pair()
+    sketch = ic.rp_cca(x, y, 10, k_rpcca=30, seed=3)
+    for t1 in (1, 4):
+        run = ic.l_cca(x, y, 10, t1=t1, ling_cfg=ic.LingConfig(k_pc=30, t2=0, seed=3))
+        for name in ("x_basis", "y_basis", "correlations"):
+            assert getattr(run, name).tobytes() == getattr(sketch, name).tobytes()
+        assert run.work == sketch.work
+    # two range finders of 40-column sketches, 2 (power_iters + 1) products each
+    assert sketch.work == 2 * 3 * 40 * (x.nnz + y.nnz)
+
+
+def test_zero_step_l_cca_refuses_a_basis_narrower_than_k_cca_and_a_trace():
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((300, 20)), rng.standard_normal((300, 20))
+    with pytest.raises(ValueError, match=r"data rank below k_cca.*\(basis ranks x 3, y 3\)"):
+        ic.l_cca(x, y, 5, t1=4, ling_cfg=ic.LingConfig(k_pc=3, t2=0, seed=0))
+    cfg = ic.LingConfig(k_pc=8, t2=0, seed=0)
+    ref = (rng.standard_normal((300, 5)), rng.standard_normal((300, 5)))
+    for kwargs, name in (({"trace": True}, "trace"), ({"reference": ref}, "reference")):
+        before = sparse_work.total
+        with pytest.raises(ValueError, match=f"^{name} needs an outer loop"):
+            ic.l_cca(x, y, 5, t1=4, ling_cfg=cfg, **kwargs)
+        assert sparse_work.total == before  # refused before any product
+
+
 def test_l_cca_on_wide_x_with_a_full_basis_gives_unit_correlations():
     # p >= n: range(x) is all of R^300, so the projection onto it is the identity
     x = random_sparse(300, 800, 0.05, seed=32)
@@ -215,9 +241,13 @@ def tall_zipf_pair(n=20_000, p=300, per_row=5, seed=31):
 
 
 def readme_l_cca_work(x, y, k_cca, t1, cfg):
-    """The work README gives for l_cca: start, descents and range finders, no restarts."""
+    """The work README gives for l_cca: start, descents and range finders, no restarts.
+
+    The start is made only when the outer loop runs: at t2 > 0 or k_pc = 0.
+    """
     n = x.shape[0]
-    work = k_cca * x.nnz + 2 * k_cca * t1 * cfg.t2 * (x.nnz + y.nnz)
+    loop_runs = cfg.t2 > 0 or cfg.k_pc == 0
+    work = loop_runs * k_cca * x.nnz + 2 * k_cca * t1 * cfg.t2 * (x.nnz + y.nnz)
     for a in (x, y) if cfg.k_pc else ():
         m = min(min(cfg.k_pc, n, a.shape[1]) + OVERSAMPLE, n, a.shape[1])
         work += 2 * (cfg.rsvd_power_iters + 1) * m * a.nnz
@@ -250,6 +280,11 @@ def test_l_cca_one_pass_cholesky_qr_matches_two_passes(monkeypatch):
     deficient = ic.l_cca(x20, y, 10, t1=4, ling_cfg=cfg)
     assert (n, 40) in fallbacks
     assert deficient.work == readme_l_cca_work(x20, y, 10, 4, cfg)
+
+    # with no gradient steps the loop never runs: the range finders are all the work
+    zero_step = ic.LingConfig(k_pc=30, t2=0, seed=6)
+    assert ic.l_cca(x, y, 10, t1=4, ling_cfg=zero_step).work == readme_l_cca_work(
+        x, y, 10, 4, zero_step)
 
 
 def test_g_cca_is_l_cca_without_deflation_bitwise():
@@ -316,11 +351,6 @@ def test_solver_warnings_point_at_the_caller():
     dense[:, 2] = 0.0
     with pytest.warns(UserWarning, match="zero-norm") as record:
         ic.d_cca(ic.as_sparse(dense), random_sparse(40, 5, 0.6, seed=15), 2, t1=2, seed=0)
-    assert record[0].filename == __file__
-    thin = rng_for(16).standard_normal((40, 3))
-    low_rank = ic.as_sparse(thin @ rng_for(17).standard_normal((3, 8)))
-    with pytest.warns(UserWarning, match="k_rpcca=5") as record:
-        ic.rp_cca(low_rank, random_sparse(40, 6, 0.6, seed=18), 2, k_rpcca=5, seed=0)
     assert record[0].filename == __file__
 
 
@@ -596,9 +626,8 @@ def test_rp_cca_sketch_width_is_bounded_by_the_row_count():
 def test_rp_cca_refuses_a_side_of_rank_below_k_cca():
     base = rng_for(62).standard_normal((30, 2))
     duplicated = ic.as_sparse(np.hstack([base, base, base]))
-    with pytest.warns(UserWarning, match="side 'x' has rank 2 < k_rpcca=4"):
-        with pytest.raises(ValueError, match="data rank below k_cca"):
-            ic.rp_cca(duplicated, random_sparse(30, 5, 0.6, seed=63), 3, k_rpcca=4)
+    with pytest.raises(ValueError, match="data rank below k_cca"):
+        ic.rp_cca(duplicated, random_sparse(30, 5, 0.6, seed=63), 3, k_rpcca=4)
 
 
 def test_bases_stay_in_the_column_space_of_a_rank_five_side():
@@ -612,15 +641,13 @@ def test_bases_stay_in_the_column_space_of_a_rank_five_side():
         ic.l_cca(x, y, 3, 4, ic.LingConfig(k_pc=10, t2=2, seed=0)),
         ic.g_cca(x, y, 3, 4, t2=2, seed=0),
         ic.d_cca(x, y, 3, 4, seed=0),
+        ic.rp_cca(x, y, 3, 10, seed=0),
     ]
-    with pytest.warns(UserWarning, match="side 'x' has rank 5 < k_rpcca=10"):
-        results.append(ic.rp_cca(x, y, 3, 10, seed=0))
     for result in results:
         outside = result.x_basis - u @ (u.T @ result.x_basis)
         assert np.linalg.norm(outside, axis=0).max() <= 1e-10
-    with pytest.warns(UserWarning, match="side 'x' has rank 5 < k_rpcca=10"):
-        with pytest.raises(ValueError, match="data rank below k_cca"):
-            ic.rp_cca(x, y, 8, 10, seed=0)
+    with pytest.raises(ValueError, match="data rank below k_cca"):
+        ic.rp_cca(x, y, 8, 10, seed=0)
 
 
 @pytest.mark.parametrize("solve, error, message", [

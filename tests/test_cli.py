@@ -145,6 +145,8 @@ INCONSISTENT_CONFIGS = [
     (["--algo", "exact", "--x-vocab-limit", "5"], "--x-vocab-limit applies only with --tokens"),
     (["--algo", "exact", "--boundary-token", "."],
      "--boundary-token applies only with --tokens"),
+    (["--algo", "lcca", "--t1", "2", "--t2", "0", "--kpc", "4", "--trace"],
+     "--trace does not apply to algorithm 'lcca' at --t2 0"),
 ]
 
 
@@ -482,6 +484,7 @@ def test_run_libsvm_error_contract(tmp_path, capsys, text, status, message):
     (b"", [], "{f}: token stream is empty"),
     (b"a a\na\n", ["--boundary-token", "a"], "{f}: token stream is empty after boundary removal"),
     (b"a b a b\n", ["--x-vocab-limit", "-1"], "--x-vocab-limit must be an integer >= 0, got -1"),
+    (b"a\n", [], "{f}: token stream has no bigrams"),
 ])
 def test_run_token_file_errors_name_the_file(tmp_path, capsys, data, extra, message):
     path = tmp_path / "tokens.txt"

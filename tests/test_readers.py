@@ -333,6 +333,8 @@ def reference_indicators(spec):
         tokens = [t for t in tokens if t != spec.boundary_token]
         if not tokens:
             raise ValueError("token stream is empty after boundary removal")
+    if not pairs:
+        raise ValueError("token stream has no bigrams")
 
     def vocab(role_tokens, drop_top, limit):
         counts, first_seen = {}, {}
