@@ -36,6 +36,7 @@ import numpy as np
 from .evaluation import subspace_dist
 from .linalg import (
     as_sparse,
+    check_block,
     check_count,
     gram_diagonal,
     rank_deficient_columns,
@@ -156,7 +157,7 @@ def _checked_pair(x, y, k_cca, t1=None, reference=None, seed=None):
 
     Checks equal row counts, that k_cca is an integer in [1, min(n, p1, p2)],
     that a given t1 is an integer >= 1, a given seed an integer >= 0 and
-    a given reference two n-by-k_cca arrays.
+    a given reference two finite n-by-k_cca arrays.
     """
     check_count("k_cca", k_cca, 1)
     if t1 is not None:
@@ -169,8 +170,13 @@ def _checked_pair(x, y, k_cca, t1=None, reference=None, seed=None):
         raise ValueError(f"row mismatch: x {x.shape} vs y {y.shape}")
     if k_cca > min(*x.shape, y.shape[1]):
         raise ValueError(f"k_cca={k_cca} outside [1, {min(*x.shape, y.shape[1])}]")
-    if reference is not None and [np.shape(r) for r in reference] != [(x.shape[0], k_cca)] * 2:
-        raise ValueError(f"reference must be two {x.shape[0]}x{k_cca} arrays, one per side")
+    if reference is not None:
+        want = f"reference must be two {x.shape[0]}x{k_cca} arrays of finite values, one per side"
+        if len(reference) != 2:
+            raise ValueError(f"{want}, got {len(reference)}")
+        for side, r in zip("xy", reference):
+            if not np.isfinite(check_block(f"{want}: {side}", r, (x.shape[0], k_cca))).all():
+                raise ValueError(f"{want}: {side} holds non-finite values")
     return tuple(
         a if e == 0 else as_sparse((np.ldexp(a.data, e), a.indices, a.indptr), shape=a.shape)
         for a, e in ((x, _band_shift(x)), (y, _band_shift(y)))
@@ -249,15 +255,12 @@ def final_correlations(x_basis, y_basis):
     to the singular values of x_basis.T @ y_basis.  Values are clamped to
     [0, 1]; rounding can push them a hair over 1.
     """
-    x_basis = np.asarray(x_basis, dtype=np.float64)
-    y_basis = np.asarray(y_basis, dtype=np.float64)
-    if x_basis.ndim != 2 or y_basis.ndim != 2 or x_basis.shape[0] != y_basis.shape[0]:
-        raise ValueError(
-            f"need two bases with equal row counts, got {x_basis.shape} and {y_basis.shape}"
-        )
+    x_basis = check_block("x_basis", x_basis, (None, None))
+    y_basis = check_block("y_basis", y_basis, (x_basis.shape[0], None))
     for name, b in (("x_basis", x_basis), ("y_basis", y_basis)):
         gram = b.T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-6:
+        # written so that a NaN, which compares false, fails too
+        if not np.max(np.abs(gram - np.eye(b.shape[1]))) <= 1e-6:
             raise ValueError(f"{name} is not orthonormal within 1e-6")
     s = np.linalg.svd(x_basis.T @ y_basis, compute_uv=False)
     return np.clip(s, 0.0, 1.0)
@@ -307,8 +310,9 @@ def iterative_ls_cca(
     Starts from a random combination of x's columns and alternates
     y-iterate = ls_y(x-iterate), x-iterate = ls_x(y-iterate), with a thin
     QR after every solve.  ls_x(rhs) must approximate the projection of
-    rhs onto the column space of x (likewise ls_y); with exact solvers
-    the iterates converge to the top-k_cca canonical subspaces.
+    rhs onto the column space of x (likewise ls_y) as an n-by-k_cca
+    block, or the run raises ValueError naming the function; with exact
+    solvers the iterates converge to the top-k_cca canonical subspaces.
 
     trace=True records correlation sums per outer iteration; passing
     reference=(x_ref, y_ref), two n-by-k_cca arrays, additionally records
@@ -332,13 +336,18 @@ def iterative_ls_cca(
             restarts=tuple(restarts),
         )
 
+    block = (x.shape[0], k_cca)
     t = 0
     try:
         g = rng.standard_normal((x.shape[1], k_cca))
         x_hat = _orthonormalize_iterate(sparse_dense_mul(x, g), x, rng, restarts, 0)
         for t in range(1, t1 + 1):
-            y_hat = _orthonormalize_iterate(ls_y(x_hat), y, rng, restarts, t)
-            x_hat = _orthonormalize_iterate(ls_x(y_hat), x, rng, restarts, t)
+            y_hat = _orthonormalize_iterate(
+                check_block("ls_y(x_hat)", ls_y(x_hat), block), y, rng, restarts, t
+            )
+            x_hat = _orthonormalize_iterate(
+                check_block("ls_x(y_hat)", ls_x(y_hat), block), x, rng, restarts, t
+            )
             if trace:
                 corr_sums.append(float(np.sum(final_correlations(x_hat, y_hat))))
                 seconds.append(time.perf_counter() - t_start)
@@ -370,10 +379,14 @@ def l_cca(x, y, k_cca, t1, ling_cfg, trace=False, reference=None):
     With k_pc > 0 and t2 = 0 each solve is the exact projection onto a
     basis, so the loop's limit, the exact CCA of the two bases, is
     returned at once, whatever t1.  A basis narrower than k_cca raises
-    ValueError, as do trace and reference, which need the loop.
+    ValueError, as do trace and reference, which need the loop.  With
+    k_pc = 0 too every solve would return zeros, so t2 = 0 raises
+    ValueError there before any work.
     """
     x, y = _checked_pair(x, y, k_cca, t1, reference)
-    zero_step = ling_cfg.k_pc > 0 and ling_cfg.t2 == 0
+    zero_step = ling_cfg.t2 == 0
+    if zero_step and ling_cfg.k_pc == 0:
+        raise ValueError("t2 = 0 needs k_pc > 0: at k_pc = 0 every least-squares solve is zero")
     if zero_step and (trace or reference is not None):
         name = "trace" if trace else "reference"
         raise ValueError(f"{name} needs an outer loop; l_cca at k_pc > 0, t2 = 0 runs none")

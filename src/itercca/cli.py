@@ -115,6 +115,9 @@ def _validate(config):
     if config.krpcca is not None and config.krpcca < config.kcca:
         raise ValueError("--krpcca must be >= --kcca")
 
+    if config.t2 == 0 and not config.kpc:  # every least-squares solve would be zero
+        where = " at --kpc 0" if config.kpc == 0 else ""
+        raise ValueError(f"--t2 must be >= 1 for algorithm {config.algo!r}{where}")
     zero_step = config.algo == "lcca" and config.t2 == 0  # l_cca runs no loop there
     if config.trace and ("t1" not in algo.params or zero_step):
         where = " at --t2 0" if zero_step else ""

@@ -7,7 +7,7 @@ summary (sum of captured correlations) used to compare algorithms.
 
 import numpy as np
 
-from .linalg import rank_deficient_columns, thin_qr
+from .linalg import check_block, rank_deficient_columns, thin_qr
 
 
 def subspace_dist(w, z):
@@ -23,10 +23,11 @@ def subspace_dist(w, z):
     unlike it, resolves distances all the way down to machine precision
     (the sigma_min route bottoms out near sqrt(eps)).
     """
-    w = np.asarray(w, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if w.ndim != 2 or z.ndim != 2 or w.shape != z.shape:
-        raise ValueError(f"need two equal-shape matrices, got {w.shape} and {z.shape}")
+    w = check_block("w", w, (None, None))
+    z = check_block("z", z, w.shape)
+    for name, a in (("w", w), ("z", z)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"argument {name} holds non-finite values")
 
     q_w, r_w = thin_qr(w)
     q_z, r_z = thin_qr(z)
@@ -47,9 +48,7 @@ def fit_geometric_rate(errors):
     tail points, all strictly positive; curves that reach exact zero must be
     truncated by the caller first.
     """
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.ndim != 1:
-        raise ValueError("errors must be a 1-d sequence")
+    errors = check_block("errors", errors, (None,))
     if np.any(errors <= 0) or not np.all(np.isfinite(errors)):
         raise ValueError("errors must be strictly positive and finite")
 

@@ -6,7 +6,11 @@ produces that form and freezes the underlying buffers.  It validates each
 input once, where it enters: a matrix that `as_sparse` itself returned is
 handed back as is, without a copy or a check, so the repeated calls at
 every solver entry point and public kernel cost nothing.  Dense matrices are plain float64
-ndarrays and are tall-skinny everywhere in this package.
+ndarrays and are tall-skinny everywhere in this package.  Every argument
+of a public function passes one of three validators, once, where it
+enters: `check_count` for integers, `as_sparse` for sparse matrices and
+`check_block` for dense arrays, each raising a ValueError that names the
+argument.
 
 The two sparse-dense products funnel through a per-thread work counter
 (`sparse_work`) that tallies nonzero multiplies; algorithm drivers snapshot
@@ -151,11 +155,31 @@ def check_count(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _check_dense(b, name="b"):
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {b.shape}")
-    return b
+def check_block(name, a, shape, writes=False):
+    """`a` as a float64 array of `shape`, or a ValueError naming `name`.
+
+    `shape` gives each axis a size or None for any size.  Without
+    `writes` the result is np.asarray(a, dtype=np.float64).  With
+    `writes=True` the callee writes into `a`, which must then already be
+    a writable C-contiguous float64 ndarray and is returned as is.  No
+    pass checks the values.
+    """
+    if writes:
+        ok = (
+            isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable
+        )
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        ok = True
+    if not (ok and a.ndim == len(shape) and all(w in (None, n) for w, n in zip(shape, a.shape))):
+        kind = "a writable C-contiguous float64 array" if writes else "a float64 array"
+        axes = ", ".join("any" if w is None else str(w) for w in shape)
+        raise ValueError(
+            f"{name} must be {kind} of shape ({axes}{',' * (len(shape) == 1)}), "
+            f"got shape {np.shape(a)}"
+        )
+    return a
 
 
 _pool = None  # (pid, executor), created on the first parallel product
@@ -241,6 +265,7 @@ def map_row_chunks(fn, a, s):
     nest inside the pool's.
     """
     a = as_sparse(a)
+    s = check_block("s", s, (None,))
     tile = _scale_tile(s, a.shape[0])
 
     def block(r0, r1):
@@ -276,30 +301,15 @@ def sparse_dense_mul(a, b, out=None, col_sq=None):
     squares are written into it, each block's sums added in block order.
     """
     a = as_sparse(a)
-    b = _check_dense(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"shape mismatch: sparse {a.shape} @ dense {b.shape}"
-        )
     n, p = a.shape
+    b = check_block("b", b, (p, None))
     k = b.shape[1]
-    if out is not None and (
-        out.shape != (n, k) or out.dtype != np.float64 or not out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous float64 array of shape {(n, k)}, "
-            f"got {out.dtype} {out.shape}"
-        )
-    if out is not None and np.may_share_memory(out, b):
-        raise ValueError("out must not share memory with b, which is read after out is zeroed")
-    if col_sq is not None and not (
-        isinstance(col_sq, np.ndarray) and col_sq.dtype == np.float64
-        and col_sq.shape == (k,) and col_sq.flags.writeable
-    ):
-        raise ValueError(
-            f"col_sq must be a writable float64 array of shape {(k,)}, "
-            f"got {getattr(col_sq, 'dtype', type(col_sq).__name__)} {np.shape(col_sq)}"
-        )
+    if out is not None:
+        check_block("out", out, (n, k), writes=True)
+        if np.may_share_memory(out, b):
+            raise ValueError("out must not share memory with b, which is read after out is zeroed")
+    if col_sq is not None:
+        check_block("col_sq", col_sq, (k,), writes=True)
     sparse_work.add(a.nnz * k)
     b = np.ascontiguousarray(b).reshape(-1)
     # A new output comes zeroed from the allocator; a caller's is zeroed block by block.
@@ -333,14 +343,14 @@ def sparse_transpose_dense_mul(a, b, minus=None):
     float64 array sharing no memory with m.
     """
     a = as_sparse(a)
+    b = check_block("b", b, (a.shape[0], None), writes=minus is not None)
     if minus is not None:
-        b, m, s = _check_minus(b, minus)
+        m, s = minus
+        m = check_block("m", m, b.shape)
+        s = None if s is None else check_block("s", s, b.shape[1:])
+        if np.may_share_memory(b, m):
+            raise ValueError("b must not share memory with m, which is read while b is updated")
         tile = None if s is None else _scale_tile(s, b.shape[0])
-    b = _check_dense(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"shape mismatch: sparse.T {a.shape} @ dense {b.shape}"
-        )
     p = a.shape[1]
     k = b.shape[1]
     sparse_work.add(a.nnz * k)
@@ -361,29 +371,6 @@ def sparse_transpose_dense_mul(a, b, minus=None):
         return part
 
     return _sum_in_order(_map_blocks(partial, _row_ranges(a, k)))
-
-
-def _check_minus(b, minus):
-    """(b, m, s) for sparse_transpose_dense_mul, refusing a b it cannot update in place."""
-    if not (
-        isinstance(b, np.ndarray) and b.ndim == 2 and b.dtype == np.float64
-        and b.flags.c_contiguous and b.flags.writeable
-    ):
-        raise ValueError(
-            "b must be a writable C-contiguous float64 2-d array when minus is given, "
-            "since it is updated in place"
-        )
-    m, s = minus
-    m = _check_dense(m, "m")
-    s = None if s is None else np.asarray(s, dtype=np.float64)
-    if m.shape != b.shape or (s is not None and s.shape != (b.shape[1],)):
-        raise ValueError(
-            f"minus must be (m, s) with m of shape {b.shape} and s None or of shape "
-            f"{(b.shape[1],)}, got {m.shape} and {np.shape(s)}"
-        )
-    if np.may_share_memory(b, m):
-        raise ValueError("b must not share memory with m, which is read while b is updated")
-    return b, m, s
 
 
 class QrFactors(NamedTuple):
@@ -440,7 +427,7 @@ def thin_qr_deferred(m):
     this is (m, inv(r1), r1), so q is never formed; after two it is
     (q1, inv(r2), r2 r1); after Householder it is (q, I, r).
     """
-    m = _check_dense(m, "m")
+    m = check_block("m", m, (None, None))
     n, k = m.shape
     if not 1 <= k <= n:
         raise ValueError(f"thin_qr needs n >= k >= 1, got shape {m.shape}")

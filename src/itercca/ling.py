@@ -32,6 +32,7 @@ import numpy as np
 
 from .linalg import (
     as_sparse,
+    check_block,
     check_count,
     map_row_chunks,
     sparse_dense_mul,
@@ -46,7 +47,8 @@ class LingConfig:
 
     k_pc = 0 disables deflation entirely (pure gradient descent); t2 = 0
     leaves only the projection onto the top singular directions, where
-    `cca.l_cca` returns the exact CCA of the two bases.  k_pc, t2,
+    `cca.l_cca` returns the exact CCA of the two bases (and which it
+    refuses at k_pc = 0, where every solve is zero).  k_pc, t2,
     rsvd_power_iters and seed are integers >= 0.  The range finder's
     sketch oversamples by `rsvd.OVERSAMPLE`, read here as `rsvd_oversample`.
     """
@@ -83,13 +85,6 @@ def build_solver(x, config):
     k = min(config.k_pc, min(x.shape))
     basis = randomized_top_singulars(x, k, power_iters=config.rsvd_power_iters, seed=config.seed)
     return LingSolver(x=x, basis=basis, config=config)
-
-
-def _check_rhs(x, y):
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"rhs must be an n-by-k block for x {x.shape}, got shape {y.shape}")
-    return y
 
 
 def _descend(x, fit, y, t2):
@@ -138,7 +133,7 @@ def gd_least_squares(x, y_r, t2):
     """
     check_count("t2", t2, 0)
     x = as_sparse(x)
-    y_r = _check_rhs(x, y_r)
+    y_r = check_block("y_r", y_r, (x.shape[0], None))
     return _descend(x, np.zeros(y_r.shape), y_r, t2)
 
 
@@ -150,7 +145,7 @@ def ling_solve(solver, y):
     solver.config.t2 steps.
     """
     x = solver.x
-    y = _check_rhs(x, y)
+    y = check_block("y", y, (x.shape[0], None))
     if solver.basis is None:
         return gd_least_squares(x, y, solver.config.t2)
     u1 = solver.basis.u1

@@ -133,8 +133,13 @@ def test_final_correlations_identity_orthogonal_and_planar():
     np.testing.assert_allclose(ic.final_correlations(w, z), [1.0, 0.5], atol=1e-12)
     with pytest.raises(ValueError):
         ic.final_correlations(2.0 * q, q)
-    with pytest.raises(ValueError, match="need two bases with equal row counts"):
+    with pytest.raises(ValueError, match=r"^y_basis must be .* got shape \(19, 3\)$"):
         ic.final_correlations(q, q[:-1])
+    # NaN compares false against the tolerance, so it must fail the test, not pass it
+    bad = q.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^x_basis is not orthonormal"):
+        ic.final_correlations(bad, q)
 
 
 def test_iterative_same_sides_align_immediately():
@@ -166,6 +171,20 @@ def test_iterative_requires_valid_t1():
     solve = exact_ls(x)
     with pytest.raises(ValueError):
         ic.iterative_ls_cca(x, x, 2, t1=0, ls_x=solve, ls_y=solve, seed=0)
+
+
+def test_iterative_refuses_a_least_squares_result_of_the_wrong_width():
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((50, 6)), rng.standard_normal((50, 5))
+    good = exact_ls(ic.as_sparse(y))
+    for wrong in (lambda b: np.hstack([b, b[:, :1] + 1]), lambda b: b[:, 1:]):
+        before = sparse_work.total
+        with pytest.raises(ValueError, match=r"^ls_y\(x_hat\) must be .* shape \(50, 3\)"):
+            ic.iterative_ls_cca(x, y, 3, 2, wrong, wrong, 0)
+        # the random start's product only
+        assert sparse_work.total - before == 50 * 6 * 3
+        with pytest.raises(ValueError, match=r"^ls_x\(y_hat\) must be .* shape \(50, 3\)"):
+            ic.iterative_ls_cca(x, y, 3, 2, wrong, good, 0)
 
 
 def test_iterative_rank_starved_instance_fails_loudly():
@@ -216,6 +235,29 @@ def test_zero_step_l_cca_refuses_a_basis_narrower_than_k_cca_and_a_trace():
         with pytest.raises(ValueError, match=f"^{name} needs an outer loop"):
             ic.l_cca(x, y, 5, t1=4, ling_cfg=cfg, **kwargs)
         assert sparse_work.total == before  # refused before any product
+
+
+def test_zero_step_l_cca_at_full_width_is_the_exact_cca():
+    # criterion 1's instances: a basis of every column leaves nothing out
+    for seed, density in zip(range(10), (0.1, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 1.0, 0.5)):
+        x = random_sparse(500, 40, density, seed=seed)
+        y = random_sparse(500, 30, density, seed=100 + seed)
+        want = ic.exact_cca(x, y, 10).d
+        for s in (0, 1):
+            run = ic.l_cca(x, y, 10, 1, ic.LingConfig(k_pc=40, t2=0, seed=s))
+            np.testing.assert_allclose(run.correlations, want, rtol=0.0, atol=1e-10)
+
+
+def test_zero_step_gradient_solve_is_refused_before_any_product():
+    # every solve would return zeros, leaving the random restarts as the answer
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((300, 20)), rng.standard_normal((300, 20))
+    for solve in (lambda: ic.g_cca(x, y, 5, 4, 0, 0, trace=True),
+                  lambda: ic.l_cca(x, y, 5, 4, ic.LingConfig(k_pc=0, t2=0))):
+        before = sparse_work.total
+        with pytest.raises(ValueError, match="^t2 = 0 needs k_pc > 0"):
+            solve()
+        assert sparse_work.total == before
 
 
 def test_l_cca_on_wide_x_with_a_full_basis_gives_unit_correlations():
@@ -540,6 +582,8 @@ def test_iterative_solvers_check_reference_at_entry(solve):
         (good,),
         (good, good, good),
         (good[:, 0], good[:, 0]),
+        (np.where(np.eye(n, 3) == 1, np.nan, good), good),
+        (good, np.where(np.eye(n, 3) == 1, np.inf, good)),
     ]
     for ref in bad_refs:
         before = sparse_work.total

@@ -147,6 +147,9 @@ INCONSISTENT_CONFIGS = [
      "--boundary-token applies only with --tokens"),
     (["--algo", "lcca", "--t1", "2", "--t2", "0", "--kpc", "4", "--trace"],
      "--trace does not apply to algorithm 'lcca' at --t2 0"),
+    (["--algo", "gcca", "--t1", "2", "--t2", "0"], "--t2 must be >= 1 for algorithm 'gcca'"),
+    (["--algo", "lcca", "--t1", "2", "--t2", "0", "--kpc", "0"],
+     "--t2 must be >= 1 for algorithm 'lcca' at --kpc 0"),
 ]
 
 
@@ -395,6 +398,11 @@ def test_compare_rejects_malformed_run_spec(tmp_path, capsys):
     for spec in ("algo=dcca,t1=2,seed=-1", "algo=exact,seed=-1"):
         assert cli.main(base + ["--run", spec]) == 2
         assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    for spec, where in (("algo=gcca,t1=2,t2=0", "'gcca'"),
+                        ("algo=lcca,t1=2,t2=0,kpc=0", "'lcca' at --kpc 0")):
+        assert cli.main(base + ["--out", str(tmp_path / "out"), "--run", spec]) == 2
+        assert f"--t2 must be >= 1 for algorithm {where}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_compare_solver_failures_exit_one_like_run(tmp_path, capsys):

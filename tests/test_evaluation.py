@@ -59,6 +59,13 @@ def test_subspace_dist_rejects_bad_inputs():
     deficient[:, 0] = 1.0
     with pytest.raises(ValueError):
         ic.subspace_dist(w, deficient)
+    for bad in (np.nan, np.inf):
+        holed = w.copy()
+        holed[3, 1] = bad
+        with pytest.raises(ValueError, match="^argument w holds non-finite values"):
+            ic.subspace_dist(holed, w)
+        with pytest.raises(ValueError, match="^argument z holds non-finite values"):
+            ic.subspace_dist(w, holed)
 
 
 def test_fit_geometric_rate_recovers_exact_ratio():

@@ -69,7 +69,7 @@ def test_sparse_mul_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         sparse_transpose_dense_mul(a, np.zeros((4, 2)))
     for mul, size in ((sparse_dense_mul, 4), (sparse_transpose_dense_mul, 5)):
-        with pytest.raises(ValueError, match=rf"must be 2-dimensional, got shape \({size},\)"):
+        with pytest.raises(ValueError, match=rf"^b must be .* got shape \({size},\)$"):
             mul(a, np.zeros(size))
 
 
@@ -469,21 +469,101 @@ def test_sparse_dense_mul_into_out_is_bitwise_the_call_without(monkeypatch, thre
             assert out.tobytes() == sparse_dense_mul(a, b).tobytes()
 
 
-def test_sparse_dense_mul_rejects_out_of_wrong_shape_dtype_or_layout():
-    a = random_sparse(6, 4, 0.5, seed=43)
-    b = np.ones((4, 3))
-    for bad in (np.empty((6, 2)), np.empty((6, 3), dtype=np.float32),
-                np.empty((6, 3), order="F")):
-        with pytest.raises(ValueError, match="out must be"):
-            sparse_dense_mul(a, b, out=bad)
+def read_only(shape):
+    a = np.zeros(shape)
+    a.flags.writeable = False
+    return a
 
 
-def test_sparse_dense_mul_rejects_out_sharing_memory_with_b():
+# a 6-by-4 operand, a 5-by-5 one, and a writable 6-by-3 b shared by the aliasing rows
+REFUSE_A = random_sparse(6, 4, 0.5, seed=43)
+REFUSE_SQUARE = random_sparse(5, 5, 0.6, seed=46)
+REFUSE_B = rng_for(52).standard_normal((6, 3))
+
+
+def mul_out(out):
+    return sparse_dense_mul(REFUSE_A, np.ones((4, 3)), out=out)
+
+
+def mul_col_sq(col_sq):
+    return sparse_dense_mul(REFUSE_A, np.ones((4, 3)), col_sq=col_sq)
+
+
+def minus_b(b):
+    return sparse_transpose_dense_mul(REFUSE_A, b, minus=(np.ones((6, 3)), np.ones(3)))
+
+
+def minus_m(m):
+    return sparse_transpose_dense_mul(REFUSE_A, np.zeros((6, 3)), minus=(m, np.ones(3)))
+
+
+def minus_s(s):
+    return sparse_transpose_dense_mul(REFUSE_A, np.zeros((6, 3)), minus=(np.ones((6, 3)), s))
+
+
+def minus_aliased_m(m):
+    return sparse_transpose_dense_mul(REFUSE_A, REFUSE_B, minus=(m, np.ones(3)))
+
+
+# (call, name of the argument the error must start with, bad value)
+DENSE_REFUSALS = [
+    pytest.param(mul_out, "out", np.empty((6, 2)), id="out-shape"),
+    pytest.param(mul_out, "out", np.empty((6, 3), dtype=np.float32), id="out-dtype"),
+    pytest.param(mul_out, "out", np.empty((6, 3), order="F"), id="out-layout"),
+    pytest.param(mul_out, "out", read_only((6, 3)), id="out-read-only"),
     # out is zeroed before b is read, so an aliased out would read back zeros
-    a = random_sparse(5, 5, 0.6, seed=46)
-    b = rng_for(47).standard_normal((5, 5))
-    with pytest.raises(ValueError, match="share memory"):
-        sparse_dense_mul(a, b, out=b)
+    pytest.param(lambda b: sparse_dense_mul(REFUSE_SQUARE, b, out=b), "out",
+                 rng_for(47).standard_normal((5, 5)), id="out-is-b"),
+    pytest.param(minus_b, "b", np.zeros((6, 3), order="F"), id="b-layout"),
+    pytest.param(minus_b, "b", np.zeros((6, 3), dtype=np.float32), id="b-dtype"),
+    pytest.param(minus_b, "b", read_only((6, 3)), id="b-read-only"),
+    pytest.param(minus_b, "b", np.zeros((6, 3)).tolist(), id="b-list"),
+    pytest.param(minus_b, "b", np.zeros((12, 3))[::2], id="b-strided"),
+    # m is read while b is updated
+    pytest.param(minus_aliased_m, "b", REFUSE_B, id="m-is-b"),
+    pytest.param(minus_aliased_m, "b", REFUSE_B[:, ::-1], id="m-reversed-b"),
+    pytest.param(minus_aliased_m, "b", REFUSE_B.T.T, id="m-view-of-b"),
+    pytest.param(minus_m, "m", np.ones((6, 2)), id="m-columns"),
+    pytest.param(minus_m, "m", np.ones((5, 3)), id="m-rows"),
+    pytest.param(minus_s, "s", np.ones(2), id="s-length"),
+    pytest.param(minus_s, "s", np.ones((3, 1)), id="s-2d"),
+    pytest.param(mul_col_sq, "col_sq", np.zeros(2), id="col_sq-length"),
+    pytest.param(mul_col_sq, "col_sq", np.zeros((3, 1)), id="col_sq-2d"),
+    pytest.param(mul_col_sq, "col_sq", np.zeros(3, dtype=np.float32), id="col_sq-dtype"),
+    pytest.param(mul_col_sq, "col_sq", [0.0] * 3, id="col_sq-list"),
+    pytest.param(mul_col_sq, "col_sq", read_only(3), id="col_sq-read-only"),
+]
+
+
+@pytest.mark.parametrize("call, name, bad", DENSE_REFUSALS)
+def test_kernels_refuse_a_bad_dense_argument_by_name_before_any_product(call, name, bad):
+    before_bytes = np.asarray(bad).tobytes()
+    before = sparse_work.total
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call(bad)
+    assert sparse_work.total == before
+    assert np.asarray(bad).tobytes() == before_bytes
+
+
+def test_check_block_converts_what_it_reads_and_passes_what_it_writes_through():
+    ints = [[1, 2], [3, 4]]
+    assert ic.linalg.check_block("a", ints, (2, None)).dtype == np.float64
+    buf = np.zeros((2, 3))
+    assert ic.linalg.check_block("buf", buf, (None, 3), writes=True) is buf
+    message = r"^a must be a float64 array of shape \(3,\), got shape \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        ic.linalg.check_block("a", ints, (3,))
+    with pytest.raises(ValueError, match=r"^buf must be a writable C-contiguous float64 array "
+                                         r"of shape \(2, any\), got shape \(3, 2\)$"):
+        ic.linalg.check_block("buf", buf.T, (2, None), writes=True)
+
+
+def test_transpose_product_reads_any_b_without_minus():
+    # the b values refused above are only read when minus is absent
+    want = sparse_transpose_dense_mul(REFUSE_A, np.zeros((6, 3))).tobytes()
+    for b in (np.zeros((6, 3), order="F"), np.zeros((6, 3), dtype=np.float32),
+              read_only((6, 3)), np.zeros((6, 3)).tolist(), np.zeros((12, 3))[::2]):
+        assert sparse_transpose_dense_mul(REFUSE_A, b).tobytes() == want
 
 
 def fused_products(a, b, g, m, s):
@@ -522,48 +602,6 @@ def test_fused_kernels_match_the_separate_passes(monkeypatch, threads):
         out = sparse_dense_mul(a, g, col_sq=col_sq)
         assert out.tobytes() == (a @ g).tobytes()
         np.testing.assert_allclose(col_sq, np.sum(out * out, axis=0), rtol=1e-13)
-
-
-def test_fused_kernels_refuse_a_b_they_cannot_update_in_place():
-    a = random_sparse(6, 4, 0.5, seed=49)
-    m, s = rng_for(50).standard_normal((6, 3)), np.ones(3)
-    read_only = np.zeros((6, 3))
-    read_only.flags.writeable = False
-    for bad in (np.zeros((6, 3), order="F"), np.zeros((6, 3), dtype=np.float32),
-                read_only, np.zeros((6, 3)).tolist(), np.zeros((12, 3))[::2]):
-        with pytest.raises(ValueError, match="b must be a writable C-contiguous float64"):
-            sparse_transpose_dense_mul(a, bad, minus=(m, s))
-    # the same arrays are fine without minus, which only reads b
-    assert sparse_transpose_dense_mul(a, np.zeros((6, 3), order="F")).shape == (4, 3)
-
-
-def test_fused_kernels_refuse_b_sharing_memory_with_m():
-    a = random_sparse(6, 4, 0.5, seed=51)
-    b = rng_for(52).standard_normal((6, 3))
-    before = b.copy()
-    for m in (b, b[:, ::-1], b.T.T):
-        with pytest.raises(ValueError, match="b must not share memory with m"):
-            sparse_transpose_dense_mul(a, b, minus=(m, np.ones(3)))
-    assert b.tobytes() == before.tobytes()
-
-
-def test_fused_kernels_refuse_minus_of_the_wrong_shape():
-    a = random_sparse(6, 4, 0.5, seed=53)
-    b = np.zeros((6, 3))
-    for m, s in ((np.ones((6, 2)), np.ones(3)), (np.ones((6, 3)), np.ones(2)),
-                 (np.ones((5, 3)), np.ones(3)), (np.ones((6, 3)), np.ones((3, 1)))):
-        with pytest.raises(ValueError, match="minus must be"):
-            sparse_transpose_dense_mul(a, b, minus=(m, s))
-
-
-def test_fused_kernels_refuse_col_sq_that_is_not_a_float64_vector_of_length_k():
-    a = random_sparse(6, 4, 0.5, seed=54)
-    g = np.ones((4, 3))
-    read_only = np.zeros(3)
-    read_only.flags.writeable = False
-    for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros(3, dtype=np.float32), [0.0] * 3, read_only):
-        with pytest.raises(ValueError, match="col_sq must be a writable float64 array of shape"):
-            sparse_dense_mul(a, g, col_sq=bad)
 
 
 def test_fused_kernels_under_more_threads_than_cores_keep_the_one_thread_bytes(monkeypatch):
