@@ -259,8 +259,8 @@ def final_correlations(x_basis, y_basis):
     y_basis = check_block("y_basis", y_basis, (x_basis.shape[0], None))
     for name, b in (("x_basis", x_basis), ("y_basis", y_basis)):
         gram = b.T @ b
-        # written so that a NaN, which compares false, fails too
-        if not np.max(np.abs(gram - np.eye(b.shape[1]))) <= 1e-6:
+        # written so that a NaN, which compares false, fails too; a 0-column basis passes
+        if not np.max(np.abs(gram - np.eye(b.shape[1])), initial=0.0) <= 1e-6:
             raise ValueError(f"{name} is not orthonormal within 1e-6")
     s = np.linalg.svd(x_basis.T @ y_basis, compute_uv=False)
     return np.clip(s, 0.0, 1.0)

@@ -162,23 +162,28 @@ def check_block(name, a, shape, writes=False):
     `writes` the result is np.asarray(a, dtype=np.float64).  With
     `writes=True` the callee writes into `a`, which must then already be
     a writable C-contiguous float64 ndarray and is returned as is.  No
-    pass checks the values.
+    pass checks the values; what np.asarray cannot convert is refused too.
     """
+
+    def refuse(got):
+        kind = "a writable C-contiguous float64 array" if writes else "a float64 array"
+        axes = ", ".join("any" if w is None else str(w) for w in shape)
+        axes += "," * (len(shape) == 1)
+        return ValueError(f"{name} must be {kind} of shape ({axes}), got {got}")
+
     if writes:
         ok = (
             isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.flags.c_contiguous and a.flags.writeable
         )
     else:
-        a = np.asarray(a, dtype=np.float64)
+        try:
+            a = np.asarray(a, dtype=np.float64)
+        except (ValueError, TypeError) as err:
+            raise refuse(f"a {type(a).__name__} numpy cannot read as float64: {err}") from None
         ok = True
     if not (ok and a.ndim == len(shape) and all(w in (None, n) for w, n in zip(shape, a.shape))):
-        kind = "a writable C-contiguous float64 array" if writes else "a float64 array"
-        axes = ", ".join("any" if w is None else str(w) for w in shape)
-        raise ValueError(
-            f"{name} must be {kind} of shape ({axes}{',' * (len(shape) == 1)}), "
-            f"got shape {np.shape(a)}"
-        )
+        raise refuse(f"shape {np.shape(a)}")
     return a
 
 

@@ -13,13 +13,15 @@ The descent is steepest descent with an exact per-column line search
 convergence ratio matches the advertised r exactly, so the rate is
 testable without tuning a step size.
 
-A solve holds two n-by-k arrays: the fit, which starts as the projection
-y1 = u1 (u1.T y) (zeros without deflation) and carries the descent's
-residual x b - (y - y1) between steps, and one buffer for x g.  Every
-dense pass over them runs inside the sparse products' fixed row blocks
-(see `linalg`), so the descent gives the same bytes at every thread
-count.  The projection stays an n-side product, made by BLAS on the
-calling thread: the descent amplifies rounding in its first gradient
+Both solvers, deflated (`cca.l_cca`) and plain (`cca.g_cca`, k_pc = 0),
+run the one descent in `gd_least_squares`, which takes the deflation
+basis u1 as an input.  A solve holds two n-by-k arrays: the fit, which
+starts as the projection y1 = u1 (u1.T y) (zeros without u1) and carries
+the descent's residual x b - (y - y1) between steps, and one buffer for
+x g.  Every dense pass over them runs inside the sparse products' fixed
+row blocks (see `linalg`), so the descent gives the same bytes at every
+thread count.  The projection stays an n-side product, made by BLAS on
+the calling thread: the descent amplifies rounding in its first gradient
 several-fold per step when the spectrum past k_pc is poorly separated,
 and forming y1 and that gradient from p-side coefficients instead made
 six-step solves two to six times less accurate.
@@ -87,20 +89,31 @@ def build_solver(x, config):
     return LingSolver(x=x, basis=basis, config=config)
 
 
-def _descend(x, fit, y, t2):
-    """`fit` plus t2 line-search steps on |x b - (y - fit)|^2 from b = 0, written over `fit`.
+def gd_least_squares(x, y, t2, u1=None):
+    """Fitted values x b after t2 line-search steps on |x b - y|^2, deflated by u1.
 
-    `fit` is a C-contiguous float64 n-by-k array the caller hands over:
-    zeros for the plain descent, the exact part y1 for the deflated solve.
-    It carries the residual x b - (y - fit) between steps and the fit on
-    return.  The descent's dense n-by-k passes all run in the sparse
-    products' row blocks: the first gradient's prologue subtracts y, each
-    later gradient's applies the previous step's update, x g reports its
-    column sums of squares for the step size, and the last update and the
-    closing + y run in the same blocks.  One n-by-k buffer holds x g at
-    every step.  A column whose gradient image x g vanishes takes a zero
-    step, which keeps rank-deficient designs from dividing by zero.
+    y is an n-by-k block and t2 an integer >= 0.  Without u1 each column
+    is fit from b = 0.  u1 is an n-by-r deflation basis, which must be
+    orthonormal and lie inside range(x); neither is checked here.  With
+    it the fit starts from the exact projection y1 = u1 (u1.T y) and the
+    steps fit the deflated residual y - y1, so t2 = 0 returns y1.  The
+    descent's dense n-by-k passes all run in the sparse products' row
+    blocks: the first gradient's prologue subtracts y, each later
+    gradient's applies the previous step's update, x g reports its column
+    sums of squares for the step size, and the last update and the
+    closing + y run in the same blocks.  A column whose gradient image
+    x g vanishes takes a zero step, which keeps rank-deficient designs
+    from dividing by zero.
     """
+    check_count("t2", t2, 0)
+    x = as_sparse(x)
+    y = check_block("y", y, (x.shape[0], None))
+    if u1 is None:
+        fit = np.zeros(y.shape)
+    else:
+        u1 = check_block("u1", u1, (x.shape[0], None))
+        # Both products are BLAS calls and stay on this thread, outside the row blocks.
+        fit = u1 @ (u1.T @ y)
     if t2 == 0:
         return fit
     k = y.shape[1]
@@ -123,31 +136,12 @@ def _descend(x, fit, y, t2):
     return fit
 
 
-def gd_least_squares(x, y_r, t2):
-    """Fitted values after t2 steepest-descent steps on |x b - y_r|^2.
-
-    y_r is an n-by-k block and t2 an integer >= 0.  Each column is fit
-    independently from b = 0 with an exact line search per step; the
-    returned n-by-k array is x b after t2 steps.  A column whose gradient
-    image x g vanishes takes a zero step.
-    """
-    check_count("t2", t2, 0)
-    x = as_sparse(x)
-    y_r = check_block("y_r", y_r, (x.shape[0], None))
-    return _descend(x, np.zeros(y_r.shape), y_r, t2)
-
-
 def ling_solve(solver, y):
     """Approximate the projection of an n-by-k block y onto the column space of solver.x.
 
-    Splits y into its component y1 on the precomputed singular basis
-    (handled exactly) and a residual y - y1 handed to gradient descent for
-    solver.config.t2 steps.
+    One `gd_least_squares` call: the exact projection of y onto the
+    solver's singular basis, when it has one, then solver.config.t2
+    descent steps on the rest.
     """
-    x = solver.x
-    y = check_block("y", y, (x.shape[0], None))
-    if solver.basis is None:
-        return gd_least_squares(x, y, solver.config.t2)
-    u1 = solver.basis.u1
-    # Both products are BLAS calls and stay on this thread, outside the row blocks.
-    return _descend(x, u1 @ (u1.T @ y), y, solver.config.t2)
+    basis = solver.basis
+    return gd_least_squares(solver.x, y, solver.config.t2, None if basis is None else basis.u1)

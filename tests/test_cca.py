@@ -131,6 +131,8 @@ def test_final_correlations_identity_orthogonal_and_planar():
     w = e[:4][:, [0, 1]]
     z = np.column_stack([e[:4, 0], 0.5 * e[:4, 1] + np.sqrt(0.75) * e[:4, 2]])
     np.testing.assert_allclose(ic.final_correlations(w, z), [1.0, 0.5], atol=1e-12)
+    # a 0-dimensional subspace has no canonical pairs
+    assert ic.final_correlations(e[:3, :2], np.zeros((3, 0))).shape == (0,)
     with pytest.raises(ValueError):
         ic.final_correlations(2.0 * q, q)
     with pytest.raises(ValueError, match=r"^y_basis must be .* got shape \(19, 3\)$"):

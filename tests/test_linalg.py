@@ -485,6 +485,10 @@ def mul_out(out):
     return sparse_dense_mul(REFUSE_A, np.ones((4, 3)), out=out)
 
 
+def mul_b(b):
+    return sparse_dense_mul(REFUSE_A, b)
+
+
 def mul_col_sq(col_sq):
     return sparse_dense_mul(REFUSE_A, np.ones((4, 3)), col_sq=col_sq)
 
@@ -532,17 +536,24 @@ DENSE_REFUSALS = [
     pytest.param(mul_col_sq, "col_sq", np.zeros(3, dtype=np.float32), id="col_sq-dtype"),
     pytest.param(mul_col_sq, "col_sq", [0.0] * 3, id="col_sq-list"),
     pytest.param(mul_col_sq, "col_sq", read_only(3), id="col_sq-read-only"),
+    # input numpy cannot read as float64 at all
+    pytest.param(mul_b, "b", [[1, 2, 3], [1, 2]], id="b-ragged"),
+    pytest.param(mul_b, "b", "abc", id="b-text"),
+    pytest.param(mul_b, "b", {"a": 1}, id="b-dict"),
 ]
 
 
 @pytest.mark.parametrize("call, name, bad", DENSE_REFUSALS)
 def test_kernels_refuse_a_bad_dense_argument_by_name_before_any_product(call, name, bad):
-    before_bytes = np.asarray(bad).tobytes()
+    def snapshot(v):
+        return v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+
+    before_bytes = snapshot(bad)
     before = sparse_work.total
     with pytest.raises(ValueError, match=f"^{name} must "):
         call(bad)
     assert sparse_work.total == before
-    assert np.asarray(bad).tobytes() == before_bytes
+    assert snapshot(bad) == before_bytes
 
 
 def test_check_block_converts_what_it_reads_and_passes_what_it_writes_through():

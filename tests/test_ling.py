@@ -136,6 +136,30 @@ def test_gd_and_solve_take_only_n_by_k_blocks():
     for t2 in (-1, 1.5):
         with pytest.raises(ValueError, match="t2 must be an integer >= 0"):
             gd_least_squares(x, y, t2)
+    u1 = solvers[1].basis.u1
+    with pytest.raises(ValueError, match=r"^u1 must .* got shape \(9, 2\)$"):
+        gd_least_squares(x, y, 3, u1[:9])
+
+
+def test_every_solve_runs_through_gd_least_squares(monkeypatch):
+    # the deflated descent must run under the name the bench's tracer wraps
+    x = cliff_sparse(7)
+    y = rng_for(8).standard_normal((60, 2))
+    calls = []
+    original = ic.ling.gd_least_squares
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ic.ling, "gd_least_squares", spy)
+    for k_pc in (0, 4):
+        solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=3, seed=1))
+        calls.clear()
+        ling_solve(solver, y)
+        assert len(calls) == 1
+        assert calls[0][0] is solver.x and calls[0][1] is y
+        assert calls[0][3] is (None if k_pc == 0 else solver.basis.u1)
 
 
 def test_gd_rate_meets_full_spectrum_bound():
@@ -282,6 +306,8 @@ def test_solve_matches_step_by_step_reference_bitwise(monkeypatch, k_pc):
                 got = ling_solve(solver, y)
                 assert sparse_work.total - before == 2 * t2 * y.shape[1] * x.nnz
                 assert np.array_equal(got, residual_carrying_ling_solve(x, solver.basis, t2, y))
+                u1 = None if solver.basis is None else solver.basis.u1
+                assert gd_least_squares(x, y, t2, u1).tobytes() == got.tobytes()
                 # the descents' iterates agree bit for bit; only the final sum differs
                 explicit = reference_ling_solve(x, solver.basis, t2, y)
                 assert np.linalg.norm(got - explicit) <= 1e-12 * np.linalg.norm(explicit)
