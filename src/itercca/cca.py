@@ -342,9 +342,12 @@ def iterative_ls_cca(
         g = rng.standard_normal((x.shape[1], k_cca))
         x_hat = _orthonormalize_iterate(sparse_dense_mul(x, g), x, rng, restarts, 0)
         for t in range(1, t1 + 1):
+            # Each side holds one iterate: the stale one goes before the solve replacing it.
+            y_hat = None
             y_hat = _orthonormalize_iterate(
                 check_block("ls_y(x_hat)", ls_y(x_hat), block), y, rng, restarts, t
             )
+            x_hat = None
             x_hat = _orthonormalize_iterate(
                 check_block("ls_x(y_hat)", ls_x(y_hat), block), x, rng, restarts, t
             )

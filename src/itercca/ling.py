@@ -40,7 +40,7 @@ from .linalg import (
     sparse_dense_mul,
     sparse_transpose_dense_mul,
 )
-from .rsvd import OVERSAMPLE, RangeBasis, randomized_top_singulars
+from .rsvd import OVERSAMPLE, POWER_ITERS, RangeBasis, randomized_top_singulars
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,15 @@ class LingConfig:
     leaves only the projection onto the top singular directions, where
     `cca.l_cca` returns the exact CCA of the two bases (and which it
     refuses at k_pc = 0, where every solve is zero).  k_pc, t2,
-    rsvd_power_iters and seed are integers >= 0.  The range finder's
+    rsvd_power_iters and seed are integers >= 0, checked here so that a
+    config the range finder never sees (k_pc = 0) is refused too.
+    rsvd_power_iters defaults to `rsvd.POWER_ITERS`; the range finder's
     sketch oversamples by `rsvd.OVERSAMPLE`, read here as `rsvd_oversample`.
     """
 
     k_pc: int
     t2: int
-    rsvd_power_iters: int = 2
+    rsvd_power_iters: int = POWER_ITERS
     seed: int = 0
     rsvd_oversample: ClassVar[int] = OVERSAMPLE
 

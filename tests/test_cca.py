@@ -4,6 +4,7 @@ import argparse
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -720,6 +721,22 @@ def test_numpy_integer_budgets_give_the_same_run():
     got = ic.l_cca(x, y, np.int64(2), t1=np.int16(2), ling_cfg=cfg)
     assert got.correlations.tobytes() == want.correlations.tobytes()
     assert got.work == want.work
+
+
+def test_outer_loop_holds_one_iterate_per_side():
+    n, k = 20000, 4
+    x = ic.as_sparse(random_sparse(n, 30, 0.05, seed=46))
+    y = ic.as_sparse(random_sparse(n, 25, 0.05, seed=47))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ic.g_cca(x, y, k, t1=3, t2=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # at each solve: the other side's iterate, the descent's fit and x g; a
+    # stale iterate of the solved side kept alive would make it four
+    assert peak < 3.5 * n * k * 8
 
 
 def test_concurrent_solves_report_only_their_own_work():

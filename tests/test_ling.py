@@ -16,7 +16,7 @@ import itercca as ic
 from itercca.evaluation import fit_geometric_rate
 from itercca.linalg import sparse_work, thin_qr
 from itercca.ling import build_solver, gd_least_squares, ling_solve
-from itercca.rsvd import OVERSAMPLE
+from itercca.rsvd import OVERSAMPLE, POWER_ITERS
 
 from conftest import (
     RATE_SPECTRUM,
@@ -39,7 +39,7 @@ def error_curve(solve, exact, t2_range):
 
 def test_config_validates_fields():
     cfg = ic.LingConfig(k_pc=3, t2=10)
-    assert cfg.rsvd_power_iters == 2
+    assert cfg.rsvd_power_iters == POWER_ITERS == 2
     assert ic.LingConfig(k_pc=np.int64(3), t2=np.int32(10)) == cfg
     for bad, name in (
         (dict(k_pc=-1, t2=5), "k_pc"),

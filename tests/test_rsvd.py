@@ -133,6 +133,18 @@ def test_invalid_arguments_rejected():
         randomized_top_singulars(a, 0)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("power_iters", -1), ("power_iters", 2.0), ("power_iters", True),
+    ("seed", -1), ("seed", 2.5), ("seed", True),
+])
+def test_power_iters_and_seed_are_checked_before_any_product(name, bad):
+    a = random_sparse(300, 40, 0.2, seed=13)
+    before = sparse_work.total
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+        randomized_top_singulars(a, 5, **{name: bad})
+    assert sparse_work.total == before
+
+
 @pytest.fixture
 def qr_fallbacks(monkeypatch):
     """Blocks factored by Householder reflections, by thin_qr or as a fallback."""
