@@ -25,21 +25,17 @@ _MM_HEADER = ("%%matrixmarket", "matrix", "coordinate", "real", "general")
 # else to the line scanner, which reads it or names the offending line.
 # "Clean" is a strict ASCII subset on which numpy's text parser and the
 # scanner's int()/float() agree: the bytes below, plus ':' for libsvm.
-_NUMERIC = np.zeros(256, dtype=bool)
-_NUMERIC[list(b"0123456789+-.eE \n")] = True
-_LIBSVM = _NUMERIC.copy()
-_LIBSVM[ord(":")] = True
+_NUMERIC = b"0123456789+-.eE \n"
+_LIBSVM = _NUMERIC + b":"
 # Matrix Market preamble lines (header, comments, size line): printable
 # ASCII, tab and LF, so bytes and str agree on lines and whitespace.
-_PREAMBLE = np.zeros(256, dtype=bool)
-_PREAMBLE[list(b"\t\n")] = True
-_PREAMBLE[0x20:0x7F] = True
+_PREAMBLE = b"\t\n" + bytes(range(0x20, 0x7F))
 _MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 _LIBSVM_ITEM = np.dtype([("j", np.int64), ("v", np.float64)])
 
 
-def _only(table, raw):
-    return bool(table[np.frombuffer(raw, dtype=np.uint8)].all())
+def _only(allowed, raw):
+    return not raw.translate(None, allowed)
 
 
 def _line_count(raw):
@@ -311,6 +307,8 @@ class TokenDatasetSpec:
     def __post_init__(self):
         for name in ("x_vocab_limit", "y_vocab_limit", "x_drop_top", "y_drop_top"):
             check_count(name, getattr(self, name), 0)
+        # tokens_to_indicators reads the stream twice, so a one-shot iterator is held as a tuple
+        object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
 def _role_columns(role, n_codes, skip, drop_top, limit):
@@ -336,8 +334,9 @@ def tokens_to_indicators(spec):
     of y the token after it.  A bigram is retained only when both tokens
     survive their side's vocabulary trimming.
     """
-    index = {}
-    codes = np.array([index.setdefault(t, len(index)) for t in spec.tokens], dtype=np.int64)
+    index = {t: i for i, t in enumerate(dict.fromkeys(spec.tokens))}
+    codes = np.fromiter(map(index.__getitem__, spec.tokens), dtype=np.int64,
+                        count=len(spec.tokens))
     if not codes.size:
         raise ValueError("token stream is empty")
     a, b = codes[:-1], codes[1:]

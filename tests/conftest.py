@@ -5,11 +5,15 @@ products, scipy-based whitening, dense QR projectors.  Expected values in
 tests come from these, never from the functions under test.
 """
 
-import numpy as np
-import scipy.linalg
-
+# itercca first: it turns ITERCCA_THREADS into the BLAS thread variables
+# and OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads only when numpy first
+# loads it.  Imported after numpy, the suite's BLAS would run at its
+# default thread count with spinning idle workers.
 import itercca as ic
 from itercca.linalg import thin_qr
+
+import numpy as np
+import scipy.linalg
 
 
 def rng_for(seed):

@@ -158,6 +158,15 @@ def test_tokens_to_indicators_bigram_counts():
     np.testing.assert_allclose(y.sum(axis=1), np.ones(3), atol=0.0)
 
 
+def test_tokens_from_a_list_or_a_one_shot_iterator_read_as_their_tuple():
+    tokens = ("a", "b", "a", "c", "b")
+    want = ic.tokens_to_indicators(ic.TokenDatasetSpec(tokens=tokens))
+    for given in (list(tokens), iter(tokens)):
+        got = ic.tokens_to_indicators(ic.TokenDatasetSpec(tokens=given))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.toarray(), w.toarray())
+
+
 def test_tokens_vocab_limit_keeps_most_frequent_successor():
     spec = ic.TokenDatasetSpec(tokens=("a", "b", "a", "b", "c"), y_vocab_limit=1)
     x, y = ic.tokens_to_indicators(spec)

@@ -170,6 +170,27 @@ def test_libsvm_fast_path_matches_scanner(workdir, case):
     assert fast_first == scanner
 
 
+# The clean-byte classes as datasets' comment documents them, written
+# here without the module's constants.
+def is_numeric(b):
+    return chr(b) in "0123456789+-.eE \n"
+
+
+BYTE_CLASSES = [
+    ("_NUMERIC", is_numeric),
+    ("_LIBSVM", lambda b: is_numeric(b) or b == ord(":")),
+    ("_PREAMBLE", lambda b: 0x20 <= b < 0x7F or b in (ord("\t"), ord("\n"))),
+]
+
+
+@pytest.mark.parametrize("name, member", BYTE_CLASSES)
+def test_every_byte_is_clean_exactly_when_its_class_documents_it(name, member):
+    allowed = getattr(datasets, name)
+    assert datasets._only(allowed, b"") is True
+    for b in range(256):
+        assert datasets._only(allowed, bytes([b])) is member(b), f"byte 0x{b:02x}"
+
+
 def refuse_scanners(monkeypatch):
     def refuse(*args):
         raise AssertionError("a clean file reached the line scanner")
