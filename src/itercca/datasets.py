@@ -10,7 +10,6 @@ Every text file, the CLI's token and spec files included, goes through
 one UTF-8 decode that names a bad byte as `path:line`.
 """
 
-import io
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,7 +45,7 @@ def _line_count(raw):
 def _loadtxt(raw, dtype):
     """Whitespace-separated records parsed by numpy, or None if it refuses."""
     try:
-        return np.loadtxt(io.StringIO(raw.decode()), dtype=dtype, ndmin=1)
+        return np.loadtxt(raw.decode().splitlines(), dtype=dtype, ndmin=1)
     except (ValueError, OverflowError):
         return None
 
@@ -167,25 +166,25 @@ def read_matrix_market(path):
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 
-# Entries formatted per write, so memory stays bounded on large matrices.
-_MM_WRITE_CHUNK = 100_000
-
-
 def write_matrix_market(path, a):
-    """Write a sparse matrix in Matrix Market coordinate format."""
+    """Write a sparse matrix in Matrix Market coordinate format.
+
+    The file holds the real general header, one '%' comment line, the
+    size line and a 'row col value' line per nonzero, each value in its
+    shortest round-trip form (-6.232744625373522E23), so
+    read_matrix_market reads back the very same float64 values.  The
+    writing runs on scipy's own thread pool, one thread per CPU, which
+    ITERCCA_THREADS does not size; the bytes do not depend on it.
+    scipy.io is imported here, not with the module, because it adds
+    about 16 ms to a cold `import itercca`.
+    """
+    import scipy.io
+
     a = as_sparse(a)
-    coo = a.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
-        for s in range(0, a.nnz, _MM_WRITE_CHUNK):
-            e = s + _MM_WRITE_CHUNK
-            # float repr round-trips the exact binary value
-            fh.write("".join([
-                f"{i + 1} {j + 1} {v!r}\n"
-                for i, j, v in zip(coo.row[s:e].tolist(), coo.col[s:e].tolist(),
-                                   coo.data[s:e].tolist())
-            ]))
+    # an open file, as mmwrite appends .mtx to a path without it; "general",
+    # as it would head a symmetric matrix "symmetric", which the reader refuses
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, a, symmetry="general")
 
 
 def _fast_libsvm(raw, n_cols):

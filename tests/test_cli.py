@@ -232,8 +232,10 @@ def test_run_reports_non_finite_input_file(tmp_path, capsys):
     xp, yp = planted_mm_pair(tmp_path)
     bad = tmp_path / "nan.mtx"
     lines = xp.read_text().splitlines()
-    row, col, _ = lines[2].split()
-    lines[2] = f"{row} {col} nan"
+    # the first entry follows the size line, the first line after the header not a '%' comment
+    first = [i for i, line in enumerate(lines) if i and not line.startswith("%")][1]
+    row, col, _ = lines[first].split()
+    lines[first] = f"{row} {col} nan"
     bad.write_text("\n".join(lines) + "\n")
     for algo in (["--algo", "lcca", "--t1", "2", "--t2", "2", "--kpc", "3"],
                  ["--algo", "dcca", "--t1", "2"]):

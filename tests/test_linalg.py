@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,28 @@ def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_bloc
     assert bad == []
     assert sorted(seen) == [(reps, reps * 2 * a.nnz * 20) for reps in (3, 4, 5)]
     assert len(spy_blocks) == 1 + 2 * (3 + 4 + 5)
+
+
+@pytest.mark.parametrize("failing", ["pool", "caller"])
+def test_a_failing_block_reaches_the_caller_after_every_block_ends(monkeypatch, failing):
+    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+    ranges = [(0, 1), (1, 2), (2, 3), (3, 4)]  # the caller runs the first two, the pool the rest
+    bad = (3, 4) if failing == "pool" else (1, 2)
+    ended, ran_on = [], {}
+
+    def block(r0, r1):
+        ran_on[r0, r1] = threading.current_thread()
+        if r0 >= 2:
+            time.sleep(0.05)  # the pool's blocks end well after the caller's
+        if (r0, r1) == bad:
+            raise RuntimeError(f"block {r0}")
+        ended.append((r0, r1))
+
+    with pytest.raises(RuntimeError, match=f"block {bad[0]}"):
+        ic.linalg._map_blocks(block, ranges)
+    assert sorted(ended) == [r for r in ranges if r != bad]
+    assert ran_on[0, 1] is threading.current_thread()
+    assert ran_on[2, 3] is ran_on[3, 4] is not threading.current_thread()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -320,7 +320,7 @@ def test_malformed_libsvm_line_5001_is_named(tmp_path):
         assert str(exc.value) == f"{path}:5001: non-numeric field '3:zz'"
 
 
-def test_matrix_market_round_trip_is_bit_exact(tmp_path, monkeypatch):
+def test_matrix_market_round_trip_is_bit_exact(tmp_path):
     rng = np.random.Generator(np.random.PCG64(4))
     # random bit patterns cover subnormals up to the largest finite doubles
     bits = rng.integers(0, 2 ** 63, size=4000, dtype=np.uint64) | (
@@ -331,16 +331,27 @@ def test_matrix_market_round_trip_is_bit_exact(tmp_path, monkeypatch):
              0.1, 1 / 3, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
     vals = np.concatenate([edges, vals])
     n, p = 200, 40
-    flat = rng.choice(n * p, size=vals.size, replace=False)
-    original = ic.as_sparse((vals, (flat // p, flat % p)), shape=(n, p))
-    path = tmp_path / "rt.mtx"
-    ic.write_matrix_market(path, original)
-    refuse_scanners(monkeypatch)
-    back = ic.read_matrix_market(path)
-    assert back.shape == original.shape
-    assert np.array_equal(back.data, original.data)
-    assert np.array_equal(back.indices, original.indices)
-    assert np.array_equal(back.indptr, original.indptr)
+    flat = p + rng.choice((n - 1) * p, size=vals.size, replace=False)  # row 0 stays empty
+    cases = {
+        "mixed": ic.as_sparse((vals, (flat // p, flat % p)), shape=(n, p)),
+        # a symmetric matrix still gets the general header, the only one the reader takes
+        "symmetric": ic.as_sparse(np.array([[2.0, 1.0], [1.0, 0.0]])),
+        "zeros": ic.as_sparse(np.zeros((4, 3))),
+        "no-rows": ic.as_sparse(np.zeros((0, 3))),
+    }
+    for name, original in cases.items():
+        path = tmp_path / f"{name}.mtx"
+        ic.write_matrix_market(path, original)
+        raw = path.read_bytes()
+        fast = datasets._fast_matrix_market(raw)
+        assert (fast is None) == (original.nnz == 0)  # an empty body is the scanner's alone
+        scanned = datasets._scan_matrix_market(path, raw.decode().splitlines())
+        for shape, rows, cols, got in filter(None, (fast, scanned)):
+            back = ic.as_sparse((got, (rows, cols)), shape=shape)
+            assert back.shape == original.shape
+            assert back.data.tobytes() == original.data.tobytes()
+            assert np.array_equal(back.indices, original.indices)
+            assert np.array_equal(back.indptr, original.indptr)
 
 
 def reference_indicators(spec):
