@@ -13,6 +13,15 @@ The descent is steepest descent with an exact per-column line search
 convergence ratio matches the advertised r exactly, so the rate is
 testable without tuning a step size.
 
+By default (`LingConfig.equilibrate`) the solver runs on x diag(s), with
+s = D^-1/2 for D = diag(x.T x) and s = 1 on zero columns: Jacobi
+preconditioning of the normal equations.  Rescaling columns leaves
+range(x) and so the projection unchanged, while r, now read off the
+singular values of x diag(s), drops wherever column scale drives the
+spread of the spectrum.  Neither the range finder nor the descent forms
+x diag(s): each applies s to its p-by-k blocks, so the scaling adds no
+n-side array and no sparse multiply.
+
 Both solvers, deflated (`cca.l_cca`) and plain (`cca.g_cca`, k_pc = 0),
 run the one descent in `gd_least_squares`, which takes the deflation
 basis u1 as an input.  A solve holds two n-by-k arrays: the fit, which
@@ -36,6 +45,7 @@ from .linalg import (
     as_sparse,
     check_block,
     check_count,
+    gram_diagonal,
     map_row_chunks,
     sparse_dense_mul,
     sparse_transpose_dense_mul,
@@ -55,50 +65,68 @@ class LingConfig:
     config the range finder never sees (k_pc = 0) is refused too.
     rsvd_power_iters defaults to `rsvd.POWER_ITERS`; the range finder's
     sketch oversamples by `rsvd.OVERSAMPLE`, read here as `rsvd_oversample`.
+    equilibrate, a bool, runs the basis and the descent on x with its
+    columns scaled to unit norm (see the module docstring); at t2 = 0,
+    with no descent to precondition, it changes nothing.
     """
 
     k_pc: int
     t2: int
     rsvd_power_iters: int = POWER_ITERS
     seed: int = 0
+    equilibrate: bool = True
     rsvd_oversample: ClassVar[int] = OVERSAMPLE
 
     def __post_init__(self):
         for name in ("k_pc", "t2", "rsvd_power_iters", "seed"):
             check_count(name, getattr(self, name), 0)
+        if not isinstance(self.equilibrate, bool):
+            raise ValueError(f"equilibrate must be a bool, got {self.equilibrate!r}")
 
 
 @dataclass(frozen=True)
 class LingSolver:
-    """A design matrix with its precomputed deflation basis.
+    """A design matrix with its precomputed column scales and deflation basis.
 
-    Built once and reused across many right-hand sides; immutable, so a
-    single solver may serve concurrent solves.
+    col_scale is None unless the config equilibrates with t2 > 0; basis
+    is None at k_pc = 0.  Built once and reused across many right-hand
+    sides; immutable, so a single solver may serve concurrent solves.
     """
 
     x: object
     basis: Optional[RangeBasis]
     config: LingConfig
+    col_scale: Optional[np.ndarray]
 
 
 def build_solver(x, config):
-    """Precompute the top-k_pc singular basis of x for repeated solves."""
+    """Precompute the column scales and the top-k_pc singular basis of x for repeated solves."""
     x = as_sparse(x)
-    if config.k_pc == 0:
-        return LingSolver(x=x, basis=None, config=config)
-    k = min(config.k_pc, min(x.shape))
-    basis = randomized_top_singulars(x, k, power_iters=config.rsvd_power_iters, seed=config.seed)
-    return LingSolver(x=x, basis=basis, config=config)
+    col_scale = None
+    if config.equilibrate and config.t2 > 0:
+        d = gram_diagonal(x)
+        col_scale = np.divide(1.0, np.sqrt(d), out=np.ones_like(d), where=d > 0)
+        col_scale.flags.writeable = False
+    basis = None
+    if config.k_pc > 0:
+        basis = randomized_top_singulars(
+            x, min(config.k_pc, min(x.shape)), power_iters=config.rsvd_power_iters,
+            seed=config.seed, col_scale=col_scale,
+        )
+    return LingSolver(x=x, basis=basis, config=config, col_scale=col_scale)
 
 
-def gd_least_squares(x, y, t2, u1=None):
+def gd_least_squares(x, y, t2, u1=None, col_scale=None):
     """Fitted values x b after t2 line-search steps on |x b - y|^2, deflated by u1.
 
     y is an n-by-k block and t2 an integer >= 0.  Without u1 each column
     is fit from b = 0.  u1 is an n-by-r deflation basis, which must be
     orthonormal and lie inside range(x); neither is checked here.  With
     it the fit starts from the exact projection y1 = u1 (u1.T y) and the
-    steps fit the deflated residual y - y1, so t2 = 0 returns y1.  The
+    steps fit the deflated residual y - y1, so t2 = 0 returns y1.  With
+    col_scale, a length-p vector s, the steps descend on x diag(s): the
+    gradient is g = s * x.T (x b - y), its image x (s * g), and the step
+    |g|^2 / |x (s * g)|^2, at the multiplies of x alone.  The
     descent's dense n-by-k passes all run in the sparse products' row
     blocks: the first gradient's prologue subtracts y, each later
     gradient's applies the previous step's update, x g reports its column
@@ -110,6 +138,8 @@ def gd_least_squares(x, y, t2, u1=None):
     check_count("t2", t2, 0)
     x = as_sparse(x)
     y = check_block("y", y, (x.shape[0], None))
+    if col_scale is not None:
+        col_scale = check_block("col_scale", col_scale, (x.shape[1],))[:, None]
     if u1 is None:
         fit = np.zeros(y.shape)
     else:
@@ -124,8 +154,12 @@ def gd_least_squares(x, y, t2, u1=None):
     minus = (y, None)
     for _ in range(t2):
         g = sparse_transpose_dense_mul(x, fit, minus=minus)
-        sparse_dense_mul(x, g, out=xg, col_sq=xg_sq)
+        if col_scale is not None:
+            g *= col_scale
         g_sq = np.einsum("ij,ij->j", g, g)
+        if col_scale is not None:
+            g *= col_scale
+        sparse_dense_mul(x, g, out=xg, col_sq=xg_sq)
         minus = (xg, np.divide(g_sq, xg_sq, out=np.zeros(k), where=xg_sq > 0))
 
     def finish(rows, tile):
@@ -143,7 +177,9 @@ def ling_solve(solver, y):
 
     One `gd_least_squares` call: the exact projection of y onto the
     solver's singular basis, when it has one, then solver.config.t2
-    descent steps on the rest.
+    descent steps on the rest, on the solver's scaled columns when it
+    has scales.
     """
     basis = solver.basis
-    return gd_least_squares(solver.x, y, solver.config.t2, None if basis is None else basis.u1)
+    u1 = None if basis is None else basis.u1
+    return gd_least_squares(solver.x, y, solver.config.t2, u1, solver.col_scale)

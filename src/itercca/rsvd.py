@@ -10,6 +10,11 @@ Each round trip normalizes only its p-side iterate a.T (a w), whatever
 the shape of the matrix, since a (a.T a)^i omega spans the same space
 whichever side is normalized (Halko, Martinsson and Tropp, 2011).
 
+Given column scales s, the range finder runs on a diag(s) without
+forming it: each p-side iterate is scaled by s before a w and each a.T z
+after the product, so the basis and its singular value estimates belong
+to the scaled matrix at the same sparse multiplies.
+
 The final sketch a w goes through `thin_qr_deferred`, which returns its
 orthonormal basis as q = z to_q, with z n-by-m and to_q m-by-m (z is
 the sketch itself when one Cholesky pass suffices).  q is never formed: the
@@ -28,6 +33,7 @@ import numpy as np
 
 from .linalg import (
     as_sparse,
+    check_block,
     check_count,
     rank_deficient_columns,
     sparse_dense_mul,
@@ -58,7 +64,16 @@ class RangeBasis:
     rank_deficient: bool
 
 
-def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0):
+def _scaled(b, col_scale):
+    """b overwritten by diag(s) b for col_scale = s[:, None], or b itself without scales.
+
+    Every b is a fresh p-by-m array the range finder owns, so it is scaled
+    in place rather than copied.
+    """
+    return b if col_scale is None else np.multiply(b, col_scale, out=b)
+
+
+def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0, col_scale=None):
     """Approximate top-k left singular vectors of a sparse n-by-p matrix.
 
     Parameters
@@ -75,6 +90,9 @@ def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0):
         makes 2 (power_iters + 1) sparse products.
     seed : int >= 0
         Seed for the PCG64 generator drawing the Gaussian test matrix.
+    col_scale : length-p float64 array, optional
+        Column scales s: the basis and estimates are those of a diag(s),
+        at the multiplies of `a` alone.  Their values are not checked.
 
     power_iters and seed must be Python or numpy integers (no bool);
     anything else raises ValueError naming the argument before any product.
@@ -85,15 +103,18 @@ def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0):
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} outside [1, min{a.shape}]")
+    if col_scale is not None:
+        col_scale = check_block("col_scale", col_scale, (p,))[:, None]
 
     m = min(k + OVERSAMPLE, n, p)
     w = np.random.Generator(np.random.PCG64(seed)).standard_normal((p, m))
     for _ in range(power_iters):
         # the n-by-m iterate is freed before the next product allocates another
-        w = thin_qr(sparse_transpose_dense_mul(a, sparse_dense_mul(a, w))).q
+        w = sparse_transpose_dense_mul(a, sparse_dense_mul(a, _scaled(w, col_scale)))
+        w = thin_qr(_scaled(w, col_scale)).q
     # the orthonormal sketch q = z z_to_q is never formed
-    z, z_to_q, r = thin_qr_deferred(sparse_dense_mul(a, w))
-    b = sparse_transpose_dense_mul(a, z) @ z_to_q
+    z, z_to_q, r = thin_qr_deferred(sparse_dense_mul(a, _scaled(w, col_scale)))
+    b = _scaled(sparse_transpose_dense_mul(a, z), col_scale) @ z_to_q
     keep = min(k, m - rank_deficient_columns(r).size)
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the

@@ -108,7 +108,9 @@ def test_criterion_4_gradient_rate_bounds():
                 if k_pc == 0:
                     fit = gd_least_squares(x, y, t2)
                 else:
-                    cfg = ic.LingConfig(k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9)
+                    cfg = ic.LingConfig(
+                        k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9, equilibrate=False
+                    )
                     fit = ling_solve(build_solver(x, cfg), y)
                 errs.append(np.linalg.norm(fit - exact) ** 2)
             curve = truncate_curve(np.asarray(errs), 1e-8)

@@ -136,6 +136,15 @@ def test_gram_diagonal_matches_naive_column_norms():
     np.testing.assert_allclose(gram_diagonal(empty), np.zeros(3), atol=0.0)
 
 
+def test_gram_diagonal_in_chunks_sums_like_one_pass(monkeypatch):
+    a = random_sparse(300, 7, 0.5, seed=37, col_scales=[1.0, 3.0, 0.0, 1e-3, 2.0, 5.0, 1.0])
+    # np.bincount adds each column's squares in storage order too
+    one_pass = np.bincount(a.indices, weights=a.data * a.data, minlength=7)
+    for chunk in (1, 5, 64, 2**16):
+        monkeypatch.setattr(ic.linalg, "_GRAM_CHUNK", chunk)
+        assert gram_diagonal(a).tobytes() == one_pass.tobytes()
+
+
 def test_gram_kernels_read_csc_input_as_the_matrix_it_holds():
     a = random_sparse(30, 8, 0.5, seed=36)
     csc = sparse.csc_array(a)

@@ -55,11 +55,15 @@ def test_config_validates_fields():
     ):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
             ic.LingConfig(**bad)
+    assert cfg.equilibrate is True
+    for bad in (1, 0, "false", None):
+        with pytest.raises(ValueError, match="equilibrate must be a bool"):
+            ic.LingConfig(k_pc=3, t2=10, equilibrate=bad)
 
 
 def test_oversampling_is_a_constant_not_a_field():
     assert [f.name for f in dataclasses.fields(ic.LingConfig)] == [
-        "k_pc", "t2", "rsvd_power_iters", "seed"
+        "k_pc", "t2", "rsvd_power_iters", "seed", "equilibrate"
     ]
     assert ic.LingConfig(k_pc=3, t2=10).rsvd_oversample == OVERSAMPLE == 10
 
@@ -139,6 +143,8 @@ def test_gd_and_solve_take_only_n_by_k_blocks():
     u1 = solvers[1].basis.u1
     with pytest.raises(ValueError, match=r"^u1 must .* got shape \(9, 2\)$"):
         gd_least_squares(x, y, 3, u1[:9])
+    with pytest.raises(ValueError, match=r"^col_scale must .* got shape \(3,\)$"):
+        gd_least_squares(x, y, 3, None, np.ones(3))
 
 
 def test_every_solve_runs_through_gd_least_squares(monkeypatch):
@@ -160,6 +166,7 @@ def test_every_solve_runs_through_gd_least_squares(monkeypatch):
         assert len(calls) == 1
         assert calls[0][0] is solver.x and calls[0][1] is y
         assert calls[0][3] is (None if k_pc == 0 else solver.basis.u1)
+        assert solver.col_scale is not None and calls[0][4] is solver.col_scale
 
 
 def test_gd_rate_meets_full_spectrum_bound():
@@ -212,7 +219,7 @@ def test_solve_rate_meets_deflated_bound():
     r = (lam[5] ** 2 - lam[-1] ** 2) / (lam[5] ** 2 + lam[-1] ** 2)
 
     def solve(t2):
-        cfg = ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9)
+        cfg = ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9, equilibrate=False)
         return ling_solve(build_solver(x, cfg), y)
 
     errs = error_curve(solve, exact, range(31))
@@ -243,7 +250,8 @@ def test_solve_is_nearly_idempotent():
     for seed in range(20):
         x = controlled_spectrum(60, 30, RATE_SPECTRUM, seed=seed)
         exact = dense_projection(x, y)
-        solver = build_solver(x, ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9))
+        cfg = ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9, equilibrate=False)
+        solver = build_solver(x, cfg)
         once = ling_solve(solver, y)
         twice = ling_solve(solver, once)
         u1 = solver.basis.u1
@@ -300,7 +308,7 @@ def test_solve_matches_step_by_step_reference_bitwise(monkeypatch, k_pc):
     for one_pass_max_cond in (np.inf, 0):
         monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", one_pass_max_cond)
         for t2 in (0, 1, 3, 6):
-            solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=t2, seed=3))
+            solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=t2, seed=3, equilibrate=False))
             for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal((60, 1))):
                 before = sparse_work.total
                 got = ling_solve(solver, y)
@@ -336,3 +344,99 @@ def test_gd_steps_allocate_no_n_by_k_temporaries():
         peak = {t2: peak_bytes(solve, t2) for t2 in (1, 20)}
         assert peak[20] <= peak[1] + y.nbytes // 4
         assert peak[20] <= 2 * y.nbytes + y.nbytes // 4
+
+
+@pytest.mark.parametrize("k_pc", [0, 4])
+def test_equilibrated_runs_match_runs_on_an_explicitly_scaled_copy(monkeypatch, k_pc):
+    # columns spread 1000x on x and 100x on y, so the scales matter
+    x = random_sparse(200, 30, 0.3, seed=12, col_scales=np.logspace(0, 3, 30))
+    y = random_sparse(200, 20, 0.3, seed=13, col_scales=np.logspace(0, -2, 20))
+    on = ic.LingConfig(k_pc=k_pc, t2=4, seed=2)
+    off = dataclasses.replace(on, equilibrate=False)
+    copies = {}
+    for a in (x, y):
+        s = build_solver(a, on).col_scale
+        np.testing.assert_allclose(s, 1.0 / np.linalg.norm(a.toarray(), axis=0), rtol=1e-14)
+        copies[id(a)] = ic.as_sparse(a.toarray() * s)
+
+    def metered(fn):
+        before = sparse_work.total
+        return fn(), sparse_work.total - before
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    rhs = rng_for(14).standard_normal((200, 3))
+    got, work = metered(lambda: ling_solve(build_solver(x, on), rhs))
+    want, want_work = metered(lambda: ling_solve(build_solver(copies[id(x)], off), rhs))
+    assert work == want_work and close(got, want)
+
+    got, work = metered(lambda: ic.l_cca(x, y, 3, 3, on))
+    # the reference keeps l_cca's seeds and its unscaled random start, and
+    # builds each side's solver on the scaled copy
+    monkeypatch.setattr(ic.cca, "build_solver", lambda a, cfg: build_solver(
+        copies[id(a)], dataclasses.replace(cfg, equilibrate=False)))
+    want, want_work = metered(lambda: ic.l_cca(x, y, 3, 3, on))
+    assert work == want_work == got.work
+    for name in ("x_basis", "y_basis", "correlations"):
+        assert close(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("k_pc", [0, 5])
+def test_equilibrated_descent_meets_the_scaled_rate_bound(k_pc):
+    # unit columns of a matrix with a gapped spectrum, rescaled to norms
+    # 1 to 100: the unscaled descent sees the spread, the equilibrated one
+    # only the unit-column matrix's spectrum
+    base = controlled_spectrum(60, 30, RATE_SPECTRUM, seed=0).toarray()
+    unit = base / np.linalg.norm(base, axis=0)
+    x = ic.as_sparse(unit * np.logspace(0, 2, 30))
+    y = rng_for(100).standard_normal((60, 3))
+    exact = dense_projection(x, y)
+    lam = scipy.linalg.svd(unit, compute_uv=False)
+    r = (lam[k_pc] ** 2 - lam[-1] ** 2) / (lam[k_pc] ** 2 + lam[-1] ** 2)
+    ratio = {}
+    for equilibrate in (True, False):
+        def solve(t2):
+            cfg = ic.LingConfig(k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9,
+                                equilibrate=equilibrate)
+            return ling_solve(build_solver(x, cfg), y)
+
+        errs = error_curve(solve, exact, range(31))
+        ratio[equilibrate] = fit_geometric_rate(truncate_curve(errs, 1e-8))
+    assert ratio[True] <= r ** 2 + 0.02
+    assert ratio[True] < ratio[False]
+
+
+def test_equilibrate_changes_no_bit_at_zero_steps():
+    x = cliff_sparse(7)
+    y = random_sparse(60, 20, 0.5, seed=15, col_scales=np.logspace(0, 2, 20))
+    on = ic.LingConfig(k_pc=6, t2=0, seed=3)
+    off = dataclasses.replace(on, equilibrate=False)
+    with_field, without = build_solver(x, on), build_solver(x, off)
+    assert with_field.col_scale is None and without.col_scale is None
+    assert with_field.basis.u1.tobytes() == without.basis.u1.tobytes()
+    runs = [ic.l_cca(x, y, 3, 1, cfg) for cfg in (on, off)]
+    for name in ("x_basis", "y_basis", "correlations"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+def test_build_solver_peak_memory_stays_below_the_matrix_values():
+    # 100 distinct columns, 20 apart, in each of 5000 rows: nnz = 500,000,
+    # 4 MB of values, while the range finder's n-by-m blocks are 5000 x 20
+    n, p, per_row = 5000, 2000, 100
+    cols = np.sort((np.arange(n)[:, None] + 20 * np.arange(per_row)) % p, axis=1)
+    values = rng_for(16).standard_normal(n * per_row)
+    x = ic.as_sparse(
+        (values, cols.ravel(), np.arange(0, n * per_row + 1, per_row)), shape=(n, p)
+    )
+    assert x.nnz == n * per_row
+    for k_pc in (0, 10):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=2, seed=1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert solver.col_scale is not None
+        assert peak < 8 * x.nnz, (k_pc, peak)

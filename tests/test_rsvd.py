@@ -302,3 +302,20 @@ def test_range_finder_multiplies_match_the_analytic_count(monkeypatch, n, p, k, 
         assert passes.count((n, m)) == sketch_passes
         deficient = a is not full_rank
         assert (fallbacks[-1:] == [(n, m)]) == basis.rank_deficient == deficient
+
+
+def test_column_scales_run_the_range_finder_on_the_scaled_matrix():
+    a = random_sparse(300, 40, 0.2, seed=20, col_scales=np.logspace(0, 3, 40))
+    s = 1.0 / np.linalg.norm(a.toarray(), axis=0)
+    copy = ic.as_sparse(a.toarray() * s)
+    works = []
+    for fn in (lambda: randomized_top_singulars(a, 5, seed=4, col_scale=s),
+               lambda: randomized_top_singulars(copy, 5, seed=4)):
+        before = sparse_work.total
+        works.append((fn(), sparse_work.total - before))
+    (got, work), (want, want_work) = works
+    assert work == want_work
+    assert residual_dist(got.u1, want.u1) <= 1e-10
+    np.testing.assert_allclose(got.singular_estimates, want.singular_estimates, rtol=1e-12)
+    with pytest.raises(ValueError, match=r"^col_scale must .* got shape \(39,\)$"):
+        randomized_top_singulars(a, 5, col_scale=s[:-1])
