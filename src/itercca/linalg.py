@@ -479,7 +479,9 @@ def gram_diagonal(a):
     one = np.ones(1)
     for c in range(0, a.nnz, _GRAM_CHUNK):
         data, cols = a.data[c : c + _GRAM_CHUNK], a.indices[c : c + _GRAM_CHUNK]
-        # the chunk as the one column of a CSC matrix: d[cols] += data * data
+        # the chunk as the one column of a CSC matrix: d[cols] += data * data.
+        # np.add.at gives the same bits but took 1.4x as long on the bench's
+        # x (0.56 against 0.40 ms at nnz 250,000; 1.4 against 0.99 at 800,000)
         ptr = np.array([0, data.size], dtype=cols.dtype)
         _sparsetools.csc_matvec(d.size, 1, ptr, cols, data * data, one, d)
     return d

@@ -13,14 +13,17 @@ The descent is steepest descent with an exact per-column line search
 convergence ratio matches the advertised r exactly, so the rate is
 testable without tuning a step size.
 
-By default (`LingConfig.equilibrate`) the solver runs on x diag(s), with
-s = D^-1/2 for D = diag(x.T x) and s = 1 on zero columns: Jacobi
-preconditioning of the normal equations.  Rescaling columns leaves
-range(x) and so the projection unchanged, while r, now read off the
+With t2 > 0 the solver runs on x diag(s), with s = D^-1/2 for
+D = diag(x.T x) and s = 1 on zero columns: Jacobi preconditioning of the
+normal equations.  Rescaling columns leaves range(x) and so the
+projection unchanged, while r, now read off the
 singular values of x diag(s), drops wherever column scale drives the
 spread of the spectrum.  Neither the range finder nor the descent forms
 x diag(s): each applies s to its p-by-k blocks, so the scaling adds no
-n-side array and no sparse multiply.
+n-side array and no sparse multiply.  At t2 = 0 there is no descent to
+precondition and the basis is that of x itself.  The paper's unscaled
+method is `gd_least_squares` and `randomized_top_singulars` called
+without col_scale.
 
 Both solvers, deflated (`cca.l_cca`) and plain (`cca.g_cca`, k_pc = 0),
 run the one descent in `gd_least_squares`, which takes the deflation
@@ -65,32 +68,26 @@ class LingConfig:
     config the range finder never sees (k_pc = 0) is refused too.
     rsvd_power_iters defaults to `rsvd.POWER_ITERS`; the range finder's
     sketch oversamples by `rsvd.OVERSAMPLE`, read here as `rsvd_oversample`.
-    equilibrate, a bool, runs the basis and the descent on x with its
-    columns scaled to unit norm (see the module docstring); at t2 = 0,
-    with no descent to precondition, it changes nothing.
     """
 
     k_pc: int
     t2: int
     rsvd_power_iters: int = POWER_ITERS
     seed: int = 0
-    equilibrate: bool = True
     rsvd_oversample: ClassVar[int] = OVERSAMPLE
 
     def __post_init__(self):
         for name in ("k_pc", "t2", "rsvd_power_iters", "seed"):
             check_count(name, getattr(self, name), 0)
-        if not isinstance(self.equilibrate, bool):
-            raise ValueError(f"equilibrate must be a bool, got {self.equilibrate!r}")
 
 
 @dataclass(frozen=True)
 class LingSolver:
     """A design matrix with its precomputed column scales and deflation basis.
 
-    col_scale is None unless the config equilibrates with t2 > 0; basis
-    is None at k_pc = 0.  Built once and reused across many right-hand
-    sides; immutable, so a single solver may serve concurrent solves.
+    col_scale is None at t2 = 0 and basis is None at k_pc = 0.  Built
+    once and reused across many right-hand sides; immutable, so a single
+    solver may serve concurrent solves.
     """
 
     x: object
@@ -103,7 +100,7 @@ def build_solver(x, config):
     """Precompute the column scales and the top-k_pc singular basis of x for repeated solves."""
     x = as_sparse(x)
     col_scale = None
-    if config.equilibrate and config.t2 > 0:
+    if config.t2 > 0:
         d = gram_diagonal(x)
         col_scale = np.divide(1.0, np.sqrt(d), out=np.ones_like(d), where=d > 0)
         col_scale.flags.writeable = False

@@ -14,7 +14,8 @@ import scipy.linalg
 
 import itercca as ic
 from itercca.evaluation import fit_geometric_rate
-from itercca.ling import build_solver, gd_least_squares, ling_solve
+from itercca.ling import gd_least_squares
+from itercca.rsvd import randomized_top_singulars
 
 from conftest import (
     RATE_SPECTRUM,
@@ -103,16 +104,12 @@ def test_criterion_4_gradient_rate_bounds():
         # normal-equations oracle for the projection of y onto span(x)
         exact = xd @ scipy.linalg.solve(xd.T @ xd, xd.T @ y, assume_a="pos")
         for k_pc in (0, 5, 10):
-            errs = []
-            for t2 in range(31):
-                if k_pc == 0:
-                    fit = gd_least_squares(x, y, t2)
-                else:
-                    cfg = ic.LingConfig(
-                        k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9, equilibrate=False
-                    )
-                    fit = ling_solve(build_solver(x, cfg), y)
-                errs.append(np.linalg.norm(fit - exact) ** 2)
+            # the paper's unscaled method: the rate is read off x's own spectrum
+            u1 = None
+            if k_pc > 0:
+                u1 = randomized_top_singulars(x, k_pc, power_iters=30, seed=9).u1
+            errs = [np.linalg.norm(gd_least_squares(x, y, t2, u1) - exact) ** 2
+                    for t2 in range(31)]
             curve = truncate_curve(np.asarray(errs), 1e-8)
             r = (lam[k_pc] ** 2 - lam[-1] ** 2) / (lam[k_pc] ** 2 + lam[-1] ** 2)
             ratio = fit_geometric_rate(curve)

@@ -15,8 +15,8 @@ import scipy.linalg
 import itercca as ic
 from itercca.evaluation import fit_geometric_rate
 from itercca.linalg import sparse_work, thin_qr
-from itercca.ling import build_solver, gd_least_squares, ling_solve
-from itercca.rsvd import OVERSAMPLE, POWER_ITERS
+from itercca.ling import LingSolver, build_solver, gd_least_squares, ling_solve
+from itercca.rsvd import OVERSAMPLE, POWER_ITERS, randomized_top_singulars
 
 from conftest import (
     RATE_SPECTRUM,
@@ -37,6 +37,16 @@ def error_curve(solve, exact, t2_range):
     return np.array([np.linalg.norm(solve(t2) - exact) ** 2 for t2 in t2_range])
 
 
+def unscaled_solver(x, cfg):
+    """The paper's method as a solver: the raw basis and descent, no column scales."""
+    x = ic.as_sparse(x)
+    basis = None
+    if cfg.k_pc > 0:
+        k = min(cfg.k_pc, min(x.shape))
+        basis = randomized_top_singulars(x, k, power_iters=cfg.rsvd_power_iters, seed=cfg.seed)
+    return LingSolver(x=x, basis=basis, config=cfg, col_scale=None)
+
+
 def test_config_validates_fields():
     cfg = ic.LingConfig(k_pc=3, t2=10)
     assert cfg.rsvd_power_iters == POWER_ITERS == 2
@@ -55,15 +65,11 @@ def test_config_validates_fields():
     ):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
             ic.LingConfig(**bad)
-    assert cfg.equilibrate is True
-    for bad in (1, 0, "false", None):
-        with pytest.raises(ValueError, match="equilibrate must be a bool"):
-            ic.LingConfig(k_pc=3, t2=10, equilibrate=bad)
 
 
 def test_oversampling_is_a_constant_not_a_field():
     assert [f.name for f in dataclasses.fields(ic.LingConfig)] == [
-        "k_pc", "t2", "rsvd_power_iters", "seed", "equilibrate"
+        "k_pc", "t2", "rsvd_power_iters", "seed"
     ]
     assert ic.LingConfig(k_pc=3, t2=10).rsvd_oversample == OVERSAMPLE == 10
 
@@ -218,11 +224,9 @@ def test_solve_rate_meets_deflated_bound():
     lam = RATE_SPECTRUM
     r = (lam[5] ** 2 - lam[-1] ** 2) / (lam[5] ** 2 + lam[-1] ** 2)
 
-    def solve(t2):
-        cfg = ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9, equilibrate=False)
-        return ling_solve(build_solver(x, cfg), y)
-
-    errs = error_curve(solve, exact, range(31))
+    # the paper's unscaled method: the rate is read off x's own spectrum
+    u1 = randomized_top_singulars(x, 5, power_iters=30, seed=9).u1
+    errs = error_curve(lambda t2: gd_least_squares(x, y, t2, u1), exact, range(31))
     ratio = fit_geometric_rate(truncate_curve(errs, 1e-8))
     assert ratio <= r ** 2 + 0.02
 
@@ -242,7 +246,8 @@ def test_deflation_no_worse_than_plain_gd_on_decaying_spectrum():
 def test_solve_is_nearly_idempotent():
     # once lies in range(x), so the second solve's descent starts from the
     # deflated part of once and, like any steepest descent with exact line
-    # search, contracts its fitted-value error by the deflated rate r per step
+    # search, contracts its fitted-value error by the deflated rate r per
+    # step; the descent is the paper's unscaled one, so r is x's own rate
     lam = RATE_SPECTRUM
     r = (lam[5] ** 2 - lam[-1] ** 2) / (lam[5] ** 2 + lam[-1] ** 2)
     t2 = 30
@@ -250,11 +255,9 @@ def test_solve_is_nearly_idempotent():
     for seed in range(20):
         x = controlled_spectrum(60, 30, RATE_SPECTRUM, seed=seed)
         exact = dense_projection(x, y)
-        cfg = ic.LingConfig(k_pc=5, t2=t2, rsvd_power_iters=30, seed=9, equilibrate=False)
-        solver = build_solver(x, cfg)
-        once = ling_solve(solver, y)
-        twice = ling_solve(solver, once)
-        u1 = solver.basis.u1
+        u1 = randomized_top_singulars(x, 5, power_iters=30, seed=9).u1
+        once = gd_least_squares(x, y, t2, u1)
+        twice = gd_least_squares(x, once, t2, u1)
         deflated = np.linalg.norm(once - u1 @ (u1.T @ once), axis=0)
         moved = np.linalg.norm(twice - once, axis=0)
         assert np.all(moved <= r ** t2 * deflated + 1e-12)
@@ -263,15 +266,19 @@ def test_solve_is_nearly_idempotent():
         assert np.linalg.norm(twice - once) <= 2.0 * solver_err + 1e-12
 
 
-def reference_ling_solve(x, basis, t2, y):
-    """The solve written out step by step: a zero y1 when there is no basis."""
+def reference_ling_solve(x, basis, t2, y, col_scale=None):
+    """The solve written out step by step: a zero y1 when there is no basis.
+
+    With col_scale s the steps descend on x diag(s); s = 1 changes no bit.
+    """
     y = np.asarray(y, dtype=np.float64)
+    s = np.ones((x.shape[1], 1)) if col_scale is None else col_scale[:, None]
     y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
     rhs = y - y1
     residual = -rhs.copy()
     for _ in range(t2):
-        g = x.T @ residual
-        xg = x @ g
+        g = (x.T @ residual) * s
+        xg = x @ (g * s)
         g_sq = np.einsum("ij,ij->j", g, g)
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
@@ -279,20 +286,21 @@ def reference_ling_solve(x, basis, t2, y):
     return y1 + (residual + rhs)
 
 
-def residual_carrying_ling_solve(x, basis, t2, y):
+def residual_carrying_ling_solve(x, basis, t2, y, col_scale=None):
     """The solve step by step as the package runs it, descent steps as above.
 
     The residual starts at y1 - y and the fit is the final residual plus
     y; with no steps the fit is y1 itself.
     """
     y = np.asarray(y, dtype=np.float64)
+    s = np.ones((x.shape[1], 1)) if col_scale is None else col_scale[:, None]
     y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
     if basis is not None and t2 == 0:
         return y1
     residual = y1 - y
     for _ in range(t2):
-        g = x.T @ residual
-        xg = x @ g
+        g = (x.T @ residual) * s
+        xg = x @ (g * s)
         g_sq = np.einsum("ij,ij->j", g, g)
         xg_sq = np.einsum("ij,ij->j", xg, xg)
         step = np.divide(g_sq, xg_sq, out=np.zeros_like(g_sq), where=xg_sq > 0)
@@ -308,17 +316,20 @@ def test_solve_matches_step_by_step_reference_bitwise(monkeypatch, k_pc):
     for one_pass_max_cond in (np.inf, 0):
         monkeypatch.setattr(ic.linalg, "_CHOLQR_ONE_PASS_MAX_COND", one_pass_max_cond)
         for t2 in (0, 1, 3, 6):
-            solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=t2, seed=3, equilibrate=False))
-            for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal((60, 1))):
-                before = sparse_work.total
-                got = ling_solve(solver, y)
-                assert sparse_work.total - before == 2 * t2 * y.shape[1] * x.nnz
-                assert np.array_equal(got, residual_carrying_ling_solve(x, solver.basis, t2, y))
-                u1 = None if solver.basis is None else solver.basis.u1
-                assert gd_least_squares(x, y, t2, u1).tobytes() == got.tobytes()
-                # the descents' iterates agree bit for bit; only the final sum differs
-                explicit = reference_ling_solve(x, solver.basis, t2, y)
-                assert np.linalg.norm(got - explicit) <= 1e-12 * np.linalg.norm(explicit)
+            cfg = ic.LingConfig(k_pc=k_pc, t2=t2, seed=3)
+            # the default solver on scaled columns, and the paper's unscaled one
+            for solver in (build_solver(x, cfg), unscaled_solver(x, cfg)):
+                for y in (rng_for(8).standard_normal((60, 3)), rng_for(9).standard_normal((60, 1))):
+                    before = sparse_work.total
+                    got = ling_solve(solver, y)
+                    assert sparse_work.total - before == 2 * t2 * y.shape[1] * x.nnz
+                    step_by_step = residual_carrying_ling_solve(
+                        x, solver.basis, t2, y, solver.col_scale
+                    )
+                    assert np.array_equal(got, step_by_step)
+                    # the descents' iterates agree bit for bit; only the final sum differs
+                    explicit = reference_ling_solve(x, solver.basis, t2, y, solver.col_scale)
+                    assert np.linalg.norm(got - explicit) <= 1e-12 * np.linalg.norm(explicit)
 
 
 def test_gd_steps_allocate_no_n_by_k_temporaries():
@@ -351,11 +362,10 @@ def test_equilibrated_runs_match_runs_on_an_explicitly_scaled_copy(monkeypatch, 
     # columns spread 1000x on x and 100x on y, so the scales matter
     x = random_sparse(200, 30, 0.3, seed=12, col_scales=np.logspace(0, 3, 30))
     y = random_sparse(200, 20, 0.3, seed=13, col_scales=np.logspace(0, -2, 20))
-    on = ic.LingConfig(k_pc=k_pc, t2=4, seed=2)
-    off = dataclasses.replace(on, equilibrate=False)
+    cfg = ic.LingConfig(k_pc=k_pc, t2=4, seed=2)
     copies = {}
     for a in (x, y):
-        s = build_solver(a, on).col_scale
+        s = build_solver(a, cfg).col_scale
         np.testing.assert_allclose(s, 1.0 / np.linalg.norm(a.toarray(), axis=0), rtol=1e-14)
         copies[id(a)] = ic.as_sparse(a.toarray() * s)
 
@@ -367,16 +377,15 @@ def test_equilibrated_runs_match_runs_on_an_explicitly_scaled_copy(monkeypatch, 
         return np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     rhs = rng_for(14).standard_normal((200, 3))
-    got, work = metered(lambda: ling_solve(build_solver(x, on), rhs))
-    want, want_work = metered(lambda: ling_solve(build_solver(copies[id(x)], off), rhs))
+    got, work = metered(lambda: ling_solve(build_solver(x, cfg), rhs))
+    want, want_work = metered(lambda: ling_solve(unscaled_solver(copies[id(x)], cfg), rhs))
     assert work == want_work and close(got, want)
 
-    got, work = metered(lambda: ic.l_cca(x, y, 3, 3, on))
+    got, work = metered(lambda: ic.l_cca(x, y, 3, 3, cfg))
     # the reference keeps l_cca's seeds and its unscaled random start, and
-    # builds each side's solver on the scaled copy
-    monkeypatch.setattr(ic.cca, "build_solver", lambda a, cfg: build_solver(
-        copies[id(a)], dataclasses.replace(cfg, equilibrate=False)))
-    want, want_work = metered(lambda: ic.l_cca(x, y, 3, 3, on))
+    # runs the unscaled method on each side's scaled copy
+    monkeypatch.setattr(ic.cca, "build_solver", lambda a, c: unscaled_solver(copies[id(a)], c))
+    want, want_work = metered(lambda: ic.l_cca(x, y, 3, 3, cfg))
     assert work == want_work == got.work
     for name in ("x_basis", "y_basis", "correlations"):
         assert close(getattr(got, name), getattr(want, name)), name
@@ -395,29 +404,30 @@ def test_equilibrated_descent_meets_the_scaled_rate_bound(k_pc):
     lam = scipy.linalg.svd(unit, compute_uv=False)
     r = (lam[k_pc] ** 2 - lam[-1] ** 2) / (lam[k_pc] ** 2 + lam[-1] ** 2)
     ratio = {}
-    for equilibrate in (True, False):
+    for make in (build_solver, unscaled_solver):
         def solve(t2):
-            cfg = ic.LingConfig(k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9,
-                                equilibrate=equilibrate)
-            return ling_solve(build_solver(x, cfg), y)
+            cfg = ic.LingConfig(k_pc=k_pc, t2=t2, rsvd_power_iters=30, seed=9)
+            return ling_solve(make(x, cfg), y)
 
         errs = error_curve(solve, exact, range(31))
-        ratio[equilibrate] = fit_geometric_rate(truncate_curve(errs, 1e-8))
-    assert ratio[True] <= r ** 2 + 0.02
-    assert ratio[True] < ratio[False]
+        ratio[make] = fit_geometric_rate(truncate_curve(errs, 1e-8))
+    assert ratio[build_solver] <= r ** 2 + 0.02
+    assert ratio[build_solver] < ratio[unscaled_solver]
 
 
-def test_equilibrate_changes_no_bit_at_zero_steps():
+def test_zero_step_solver_is_the_unscaled_one(monkeypatch):
+    # with no descent to precondition, the basis is x's own, bit for bit
     x = cliff_sparse(7)
     y = random_sparse(60, 20, 0.5, seed=15, col_scales=np.logspace(0, 2, 20))
-    on = ic.LingConfig(k_pc=6, t2=0, seed=3)
-    off = dataclasses.replace(on, equilibrate=False)
-    with_field, without = build_solver(x, on), build_solver(x, off)
-    assert with_field.col_scale is None and without.col_scale is None
-    assert with_field.basis.u1.tobytes() == without.basis.u1.tobytes()
-    runs = [ic.l_cca(x, y, 3, 1, cfg) for cfg in (on, off)]
+    cfg = ic.LingConfig(k_pc=6, t2=0, seed=3)
+    solver = build_solver(x, cfg)
+    assert solver.col_scale is None
+    assert solver.basis.u1.tobytes() == unscaled_solver(x, cfg).basis.u1.tobytes()
+    got = ic.l_cca(x, y, 3, 1, cfg)
+    monkeypatch.setattr(ic.cca, "build_solver", unscaled_solver)
+    want = ic.l_cca(x, y, 3, 1, cfg)
     for name in ("x_basis", "y_basis", "correlations"):
-        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_build_solver_peak_memory_stays_below_the_matrix_values():
