@@ -10,10 +10,10 @@ Each round trip normalizes only its p-side iterate a.T (a w), whatever
 the shape of the matrix, since a (a.T a)^i omega spans the same space
 whichever side is normalized (Halko, Martinsson and Tropp, 2011).
 
-Given column scales s, the range finder runs on a diag(s) without
-forming it: each p-side iterate is scaled by s before a w and each a.T z
-after the product, so the basis and its singular value estimates belong
-to the scaled matrix at the same sparse multiplies.
+Given column scales s (ones by default), the range finder runs on
+a diag(s) without forming it: each p-side iterate is scaled by s before
+a w and each a.T z after the product, so the basis and its singular value
+estimates belong to the scaled matrix at the same sparse multiplies.
 
 The final sketch a w goes through `thin_qr_deferred`, which returns its
 orthonormal basis as q = z to_q, with z n-by-m and to_q m-by-m (z is
@@ -57,20 +57,16 @@ class RangeBasis:
     Columns are ordered by decreasing singular value estimate
     (`singular_estimates`).  `rank_deficient` is set when k exceeded the
     sketch's rank by `linalg.rank_deficient_columns` and u1 was cut to it.
+    Both arrays are read-only, so a basis may serve concurrent solves.
     """
 
     u1: np.ndarray
     singular_estimates: np.ndarray
     rank_deficient: bool
 
-
-def _scaled(b, col_scale):
-    """b overwritten by diag(s) b for col_scale = s[:, None], or b itself without scales.
-
-    Every b is a fresh p-by-m array the range finder owns, so it is scaled
-    in place rather than copied.
-    """
-    return b if col_scale is None else np.multiply(b, col_scale, out=b)
+    def __post_init__(self):
+        self.u1.flags.writeable = False
+        self.singular_estimates.flags.writeable = False
 
 
 def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0, col_scale=None):
@@ -91,8 +87,8 @@ def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0, col_scale=No
     seed : int >= 0
         Seed for the PCG64 generator drawing the Gaussian test matrix.
     col_scale : length-p float64 array, optional
-        Column scales s: the basis and estimates are those of a diag(s),
-        at the multiplies of `a` alone.  Their values are not checked.
+        Column scales s, ones by default: the basis and estimates are those
+        of a diag(s), at the multiplies of `a` alone; values are not checked.
 
     power_iters and seed must be Python or numpy integers (no bool);
     anything else raises ValueError naming the argument before any product.
@@ -103,18 +99,19 @@ def randomized_top_singulars(a, k, power_iters=POWER_ITERS, seed=0, col_scale=No
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} outside [1, min{a.shape}]")
-    if col_scale is not None:
-        col_scale = check_block("col_scale", col_scale, (p,))[:, None]
+    s = check_block("col_scale", np.ones(p) if col_scale is None else col_scale, (p,))[:, None]
 
     m = min(k + OVERSAMPLE, n, p)
     w = np.random.Generator(np.random.PCG64(seed)).standard_normal((p, m))
+    # each p-by-m block is fresh and owned here, so s scales it in place
     for _ in range(power_iters):
         # the n-by-m iterate is freed before the next product allocates another
-        w = sparse_transpose_dense_mul(a, sparse_dense_mul(a, _scaled(w, col_scale)))
-        w = thin_qr(_scaled(w, col_scale)).q
+        w = sparse_transpose_dense_mul(a, sparse_dense_mul(a, np.multiply(w, s, out=w)))
+        w = thin_qr(np.multiply(w, s, out=w)).q
     # the orthonormal sketch q = z z_to_q is never formed
-    z, z_to_q, r = thin_qr_deferred(sparse_dense_mul(a, _scaled(w, col_scale)))
-    b = _scaled(sparse_transpose_dense_mul(a, z), col_scale) @ z_to_q
+    z, z_to_q, r = thin_qr_deferred(sparse_dense_mul(a, np.multiply(w, s, out=w)))
+    at_z = sparse_transpose_dense_mul(a, z)
+    b = np.multiply(at_z, s, out=at_z) @ z_to_q
     keep = min(k, m - rank_deficient_columns(r).size)
 
     # Eigendecomposition of the projected Gram (q.T a)(q.T a).T orders the

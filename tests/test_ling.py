@@ -16,7 +16,7 @@ import itercca as ic
 from itercca.evaluation import fit_geometric_rate
 from itercca.linalg import sparse_work, thin_qr
 from itercca.ling import LingSolver, build_solver, gd_least_squares, ling_solve
-from itercca.rsvd import OVERSAMPLE, POWER_ITERS, randomized_top_singulars
+from itercca.rsvd import OVERSAMPLE, POWER_ITERS, RangeBasis, randomized_top_singulars
 
 from conftest import (
     RATE_SPECTRUM,
@@ -38,13 +38,14 @@ def error_curve(solve, exact, t2_range):
 
 
 def unscaled_solver(x, cfg):
-    """The paper's method as a solver: the raw basis and descent, no column scales."""
+    """The paper's method as a solver: the raw basis and descent, unit column scales."""
     x = ic.as_sparse(x)
-    basis = None
+    n, p = x.shape
+    basis = RangeBasis(np.zeros((n, 0)), np.zeros(0), False)
     if cfg.k_pc > 0:
-        k = min(cfg.k_pc, min(x.shape))
+        k = min(cfg.k_pc, n, p)
         basis = randomized_top_singulars(x, k, power_iters=cfg.rsvd_power_iters, seed=cfg.seed)
-    return LingSolver(x=x, basis=basis, config=cfg, col_scale=None)
+    return LingSolver(x=x, basis=basis, config=cfg, col_scale=np.ones(p))
 
 
 def test_config_validates_fields():
@@ -77,7 +78,36 @@ def test_oversampling_is_a_constant_not_a_field():
 def test_build_solver_without_deflation_has_no_basis():
     x = random_sparse(20, 8, 0.5, seed=0)
     solver = build_solver(x, ic.LingConfig(k_pc=0, t2=5))
-    assert solver.basis is None
+    assert solver.basis.u1.shape == (20, 0) and solver.basis.singular_estimates.shape == (0,)
+    assert not solver.basis.rank_deficient
+
+
+def test_build_solver_runs_only_the_precomputations_its_budgets_need(monkeypatch):
+    x = random_sparse(20, 8, 0.5, seed=0)
+    calls = []
+    for name in ("randomized_top_singulars", "gram_diagonal"):
+        original = getattr(ic.ling, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ic.ling, name, spy)
+    for k_pc, t2 in ((0, 5), (3, 0), (0, 0), (3, 5)):
+        calls.clear()
+        solver = build_solver(x, ic.LingConfig(k_pc=k_pc, t2=t2))
+        assert ("randomized_top_singulars" in calls) == (k_pc > 0)
+        assert ("gram_diagonal" in calls) == (t2 > 0)
+        assert solver.basis.u1.shape == (20, min(k_pc, 8))
+        assert np.all(solver.col_scale == 1.0) == (t2 == 0)
+
+
+@pytest.mark.parametrize("k_pc", [0, 3])
+def test_a_built_solver_is_read_only(k_pc):
+    solver = build_solver(random_sparse(20, 8, 0.5, seed=0), ic.LingConfig(k_pc=k_pc, t2=2))
+    for a in (solver.basis.u1, solver.basis.singular_estimates, solver.col_scale):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 def test_build_solver_on_identity_returns_orthonormal_pair():
@@ -102,6 +132,14 @@ def test_build_solver_matches_dense_top_subspace():
         scipy.linalg.svd(u1 - u_exact @ (u_exact.T @ u1), compute_uv=False)[0],
     )
     assert resid <= 1e-6
+
+
+def test_gd_defaults_are_the_empty_basis_and_unit_scales():
+    x = random_sparse(15, 6, 0.5, seed=1)
+    y = rng_for(1).standard_normal((15, 2))
+    for t2 in (0, 1, 5):
+        want = gd_least_squares(x, y, t2, np.zeros((15, 0)), np.ones(6))
+        assert gd_least_squares(x, y, t2).tobytes() == want.tobytes()
 
 
 def test_gd_zero_rhs_stays_zero():
@@ -171,8 +209,7 @@ def test_every_solve_runs_through_gd_least_squares(monkeypatch):
         ling_solve(solver, y)
         assert len(calls) == 1
         assert calls[0][0] is solver.x and calls[0][1] is y
-        assert calls[0][3] is (None if k_pc == 0 else solver.basis.u1)
-        assert solver.col_scale is not None and calls[0][4] is solver.col_scale
+        assert calls[0][3] is solver.basis.u1 and calls[0][4] is solver.col_scale
 
 
 def test_gd_rate_meets_full_spectrum_bound():
@@ -266,14 +303,14 @@ def test_solve_is_nearly_idempotent():
         assert np.linalg.norm(twice - once) <= 2.0 * solver_err + 1e-12
 
 
-def reference_ling_solve(x, basis, t2, y, col_scale=None):
-    """The solve written out step by step: a zero y1 when there is no basis.
+def reference_ling_solve(x, basis, t2, y, col_scale):
+    """The solve written out step by step: y1 is zero for an empty basis.
 
     With col_scale s the steps descend on x diag(s); s = 1 changes no bit.
     """
     y = np.asarray(y, dtype=np.float64)
-    s = np.ones((x.shape[1], 1)) if col_scale is None else col_scale[:, None]
-    y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
+    s = col_scale[:, None]
+    y1 = basis.u1 @ (basis.u1.T @ y)
     rhs = y - y1
     residual = -rhs.copy()
     for _ in range(t2):
@@ -286,16 +323,16 @@ def reference_ling_solve(x, basis, t2, y, col_scale=None):
     return y1 + (residual + rhs)
 
 
-def residual_carrying_ling_solve(x, basis, t2, y, col_scale=None):
+def residual_carrying_ling_solve(x, basis, t2, y, col_scale):
     """The solve step by step as the package runs it, descent steps as above.
 
     The residual starts at y1 - y and the fit is the final residual plus
     y; with no steps the fit is y1 itself.
     """
     y = np.asarray(y, dtype=np.float64)
-    s = np.ones((x.shape[1], 1)) if col_scale is None else col_scale[:, None]
-    y1 = basis.u1 @ (basis.u1.T @ y) if basis is not None else np.zeros_like(y)
-    if basis is not None and t2 == 0:
+    s = col_scale[:, None]
+    y1 = basis.u1 @ (basis.u1.T @ y)
+    if t2 == 0:
         return y1
     residual = y1 - y
     for _ in range(t2):
@@ -421,7 +458,7 @@ def test_zero_step_solver_is_the_unscaled_one(monkeypatch):
     y = random_sparse(60, 20, 0.5, seed=15, col_scales=np.logspace(0, 2, 20))
     cfg = ic.LingConfig(k_pc=6, t2=0, seed=3)
     solver = build_solver(x, cfg)
-    assert solver.col_scale is None
+    assert solver.col_scale.tobytes() == np.ones(x.shape[1]).tobytes()
     assert solver.basis.u1.tobytes() == unscaled_solver(x, cfg).basis.u1.tobytes()
     got = ic.l_cca(x, y, 3, 1, cfg)
     monkeypatch.setattr(ic.cca, "build_solver", unscaled_solver)
@@ -448,5 +485,5 @@ def test_build_solver_peak_memory_stays_below_the_matrix_values():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert solver.col_scale is not None
+        assert np.any(solver.col_scale != 1.0)
         assert peak < 8 * x.nnz, (k_pc, peak)

@@ -319,3 +319,14 @@ def test_column_scales_run_the_range_finder_on_the_scaled_matrix():
     np.testing.assert_allclose(got.singular_estimates, want.singular_estimates, rtol=1e-12)
     with pytest.raises(ValueError, match=r"^col_scale must .* got shape \(39,\)$"):
         randomized_top_singulars(a, 5, col_scale=s[:-1])
+
+
+def test_default_column_scales_are_ones_and_the_basis_is_read_only():
+    a = random_sparse(300, 40, 0.2, seed=20, col_scales=np.logspace(0, 3, 40))
+    got = randomized_top_singulars(a, 5, seed=4)
+    want = randomized_top_singulars(a, 5, seed=4, col_scale=np.ones(40))
+    assert got.u1.tobytes() == want.u1.tobytes()
+    assert got.singular_estimates.tobytes() == want.singular_estimates.tobytes()
+    for arr in (got.u1, got.singular_estimates):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
