@@ -16,12 +16,7 @@ _threads = _os.environ.get("ITERCCA_THREADS")
 if _threads:
     if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
         raise ValueError(f"ITERCCA_THREADS must be a positive integer, got {_threads!r}")
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
     # Idle OpenBLAS workers sleep almost at once instead of spinning on the
     # cores the sparse row blocks need; OpenBLAS reads this when it loads.

@@ -235,6 +235,7 @@ def _scan_libsvm_width(path, lines):
 
 def _scan_libsvm(path, lines, n_cols):
     """((n, p), rows, cols, vals) of the file's lines; errors name the line."""
+    n_cols = n_cols or _scan_libsvm_width(path, lines)
     rows, cols, vals = [], [], []
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
@@ -277,11 +278,8 @@ def read_libsvm(path, n_cols=None):
         check_count("n_cols", n_cols, 1)
     with open(path, "rb") as fh:
         raw = fh.read()
-    entries = _fast_libsvm(raw, n_cols)
-    if entries is None:
-        lines = _decode(path, raw).splitlines()
-        entries = _scan_libsvm(path, lines, n_cols or _scan_libsvm_width(path, lines))
-    shape, rows, cols, vals = entries
+    shape, rows, cols, vals = _fast_libsvm(raw, n_cols) or _scan_libsvm(
+        path, _decode(path, raw).splitlines(), n_cols)
     return as_sparse((vals, (rows, cols)), shape=shape, name=str(path))
 
 

@@ -20,16 +20,17 @@ separate threads each see only their own products.
 A product of a CSR matrix whose nnz times the dense width k reaches
 2,000,000 is cut into row blocks of about equal nnz, one per 2,000,000
 multiplies (at least two, at most eight), chosen from the matrix and k
-alone.  With `ITERCCA_THREADS` above 1 (capped at
-the usable cores and at the block count), each thread takes a contiguous
-run of blocks: the calling thread the first run, a shared pool the rest.
-`a @ b` is bitwise equal to the serial product, since each block fills
-its own rows, and `a.T @ b` adds one partial per block in block order, so
-both give the same bytes at every thread count.  The kernels also run the
-gradient descent's dense n-by-k passes inside their blocks, so those
-passes share the threads: `sparse_dense_mul` can return the product's
-column sums of squares, and `sparse_transpose_dense_mul` can first
-subtract a scaled block from its dense operand in place.
+alone.  With `ITERCCA_THREADS` above 1 (capped at the usable cores and
+at the block count), each thread takes a contiguous run of blocks: the
+calling thread the first run, a pool made at import (and again in a
+forked child) the rest.  `a @ b` is bitwise equal to the serial product,
+since each block fills its own rows, and `a.T @ b` adds one partial per
+block in block order, so both give the same bytes at every thread
+count.  The kernels also run the gradient descent's dense n-by-k passes
+inside their blocks, so those passes share the threads:
+`sparse_dense_mul` can return the product's column sums of squares, and
+`sparse_transpose_dense_mul` can first subtract a scaled block from its
+dense operand in place.
 """
 
 import os
@@ -138,8 +139,7 @@ def as_sparse(a, shape=None, name="matrix"):
     if _is_own_output(a, shape):
         return a
     m = sparse.csr_array(a, shape=shape, dtype=np.float64, copy=True)
-    m.sum_duplicates()
-    m.sort_indices()
+    m.sum_duplicates()  # sorts the indices before it sums
     m.eliminate_zeros()
     m.check_format(full_check=True)
     finite = np.isfinite(m.data)
@@ -191,21 +191,21 @@ def check_block(name, a, shape, writes=False):
     return a
 
 
-_pool = None  # (pid, executor), created on the first parallel product
-_pool_lock = threading.Lock()
+def _make_pool():
+    """Set `_pool`, the executor shared by all callers that runs all but the first run of blocks.
 
-
-def _row_pool():
-    """The executor, shared by all callers, that runs all but the first run of blocks.
-
-    Recreated in a forked child, whose copy has no live threads.
+    None at one thread.  Made at import, where it starts no thread until
+    its first task, and made again in a forked child, whose copy of the
+    parent's pool has no live threads.
     """
     global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            executor = ThreadPoolExecutor(_ROW_BLOCKS - 1, thread_name_prefix="itercca-rows")
-            _pool = (os.getpid(), executor)
-        return _pool[1]
+    _pool = (ThreadPoolExecutor(_ROW_BLOCKS - 1, thread_name_prefix="itercca-rows")
+             if _ROW_BLOCKS > 1 else None)
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):  # platforms without fork have no children to serve
+    os.register_at_fork(after_in_child=_make_pool)
 
 
 def _row_ranges(a, k):
@@ -222,14 +222,14 @@ def _row_ranges(a, k):
     # Integer targets in indptr's dtype, so searchsorted casts nothing.
     targets = (a.nnz * np.arange(1, blocks, dtype=np.int64) // blocks).astype(a.indptr.dtype)
     cuts = [0, *np.searchsorted(a.indptr, targets).tolist(), a.shape[0]]
-    return [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0] or [(0, a.shape[0])]
+    return [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r1 > r0]
 
 
 def _map_blocks(fn, ranges):
     """[fn(r0, r1) for r0, r1 in ranges], each thread running a contiguous run of ranges.
 
-    The caller runs the first run and the pool the rest; one thread, or
-    a single range, never touches the pool.
+    The caller runs the first run and submits the rest to `_pool`; one
+    thread, or a single range, never touches the pool.
     """
     runs = min(_ROW_BLOCKS, len(ranges))
     cuts = [len(ranges) * i // runs for i in range(runs + 1)]
@@ -237,7 +237,7 @@ def _map_blocks(fn, ranges):
     def run(i):
         return [fn(*rows) for rows in ranges[cuts[i] : cuts[i + 1]]]
 
-    pending = [_row_pool().submit(run, i) for i in range(1, runs)]
+    pending = [_pool.submit(run, i) for i in range(1, runs)]
     try:
         first = run(0)
     finally:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,10 @@ def test_as_sparse_sums_duplicates_and_canonicalizes():
     assert m.has_sorted_indices
     with pytest.raises(ValueError):
         m.data[:] = 0.0
+    # (data, indices, indptr) with one row's columns unsorted and duplicated
+    m = ic.as_sparse(([1.0, 2.0, 3.0, 4.0, 5.0], [3, 0, 3, 1, 0], [0, 5, 5]), shape=(2, 4))
+    assert all(np.all(np.diff(m.indices[r0:r1]) > 0) for r0, r1 in zip(m.indptr, m.indptr[1:]))
+    np.testing.assert_array_equal(m.toarray(), [[7.0, 4.0, 0.0, 4.0], [0.0] * 4])
 
 
 def test_as_sparse_copies_input():
@@ -327,14 +332,34 @@ def spy_blocks(monkeypatch):
     return seen
 
 
-def products_at(monkeypatch, threads, a, b, c):
+@pytest.fixture
+def row_threads(monkeypatch):
+    """set(threads): run the row blocks on `threads` threads from then on.
+
+    Sets linalg's _ROW_BLOCKS and a pool of threads - 1 workers together,
+    as the import does; the pools are shut down at teardown.
+    """
+    pools = {}
+
+    def set_threads(threads):
+        if threads > 1 and threads not in pools:
+            pools[threads] = ThreadPoolExecutor(threads - 1, thread_name_prefix="itercca-rows")
+        monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+        monkeypatch.setattr(ic.linalg, "_pool", pools.get(threads))
+
+    yield set_threads
+    for pool in pools.values():
+        pool.shutdown(wait=False)
+
+
+def products_at(row_threads, threads, a, b, c):
     """(a @ b, a.T @ c) made with `threads` threads running the row blocks."""
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+    row_threads(threads)
     return sparse_dense_mul(a, b), sparse_transpose_dense_mul(a, c)
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
+def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, row_threads, threads):
     # eight blocks for the 2,400,000 multiplies of a product below
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 300_000)
     # 1,000 heavy rows of 100 entries over 5,000 light rows of 4: nnz 120,000
@@ -342,7 +367,7 @@ def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
                                     fixed_row_nnz(5000, 300, 4, seed=29)]))
     b = rng_for(31).standard_normal((300, 20))
     c = rng_for(32).standard_normal((6000, 20))
-    out, t = products_at(monkeypatch, threads, a, b, c)
+    out, t = products_at(row_threads, threads, a, b, c)
     assert out.tobytes() == (a @ b).tobytes()
     ref = a.T @ c
     assert np.max(np.abs(t - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -353,7 +378,7 @@ def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
     assert len(spy_blocks) == 7
     # every thread count gives the same bytes from the same blocks
     for other in (1, 2, 3):
-        again, again_t = products_at(monkeypatch, other, a, b, c)
+        again, again_t = products_at(row_threads, other, a, b, c)
         assert again.tobytes() == out.tobytes() and again_t.tobytes() == t.tobytes()
     ranges = spy_blocks[0]
     assert all(seen == ranges for seen in spy_blocks)
@@ -366,7 +391,7 @@ def test_row_blocked_products_match_serial(monkeypatch, spy_blocks, threads):
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-def test_row_blocked_edge_cases(monkeypatch, spy_blocks, threads):
+def test_row_blocked_edge_cases(monkeypatch, spy_blocks, row_threads, threads):
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 1)
     rng = rng_for(33)
     dense = rng.standard_normal((50, 12)) * (rng.random((50, 12)) < 0.3)
@@ -381,22 +406,22 @@ def test_row_blocked_edge_cases(monkeypatch, spy_blocks, threads):
         for k in (1, 4):
             b = rng.standard_normal((a.shape[1], k))
             c = rng.standard_normal((a.shape[0], k))
-            out, t = products_at(monkeypatch, threads, a, b, c)
+            out, t = products_at(row_threads, threads, a, b, c)
             assert out.shape == (a.shape[0], k)
             assert out.tobytes() == (a @ b).tobytes()
             ref = a.T @ c
             assert t.shape == (a.shape[1], k)
             np.testing.assert_allclose(t, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref), initial=0.0))
             for other in (1, 2, 3):
-                again, again_t = products_at(monkeypatch, other, a, b, c)
+                again, again_t = products_at(row_threads, other, a, b, c)
                 assert again.tobytes() == out.tobytes() and again_t.tobytes() == t.tobytes()
     # the blocked path ran on the cases that have two non-empty ranges
     assert spy_blocks and all(1 < len(r) <= ic.linalg._BLOCKS for r in spy_blocks)
     assert all(r0 < r1 for ranges in spy_blocks for r0, r1 in ranges)
 
 
-def test_row_blocks_start_at_the_work_threshold(monkeypatch, spy_blocks):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+def test_row_blocks_start_at_the_work_threshold(spy_blocks, row_threads):
+    row_threads(2)
     k = 5
     nnz = ic.linalg._ROW_BLOCK_MIN_WORK // k
     rows = np.arange(nnz)
@@ -410,19 +435,19 @@ def test_row_blocks_start_at_the_work_threshold(monkeypatch, spy_blocks):
     assert len(spy_blocks) == 1
 
 
-def test_block_count_follows_the_work_alone(monkeypatch):
+def test_block_count_follows_the_work_alone(monkeypatch, row_threads):
     a = fixed_row_nnz(4000, 50, 5, seed=58)  # nnz 20,000
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 100_000)
     counts = {}
     for threads in (1, 2, 3):
-        monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+        row_threads(threads)
         counts[threads] = [len(ic.linalg._row_ranges(a, k)) for k in (4, 5, 14, 15, 40, 45, 400)]
     # one block per 100,000 multiplies, at least two and at most eight
     assert counts[1] == counts[2] == counts[3] == [1, 2, 2, 3, 8, 8, 8]
 
 
-def test_row_blocks_leave_other_formats_and_dtypes_serial(monkeypatch):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+def test_row_blocks_leave_other_formats_and_dtypes_serial(monkeypatch, row_threads):
+    row_threads(2)
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 1)
     a = random_sparse(30, 8, 0.5, seed=36)
     b = rng_for(37).standard_normal((8, 3))
@@ -430,9 +455,8 @@ def test_row_blocks_leave_other_formats_and_dtypes_serial(monkeypatch):
         assert sparse_dense_mul(other, b).tobytes() == (other @ b).tobytes()
 
 
-def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_blocks):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
-    monkeypatch.setattr(ic.linalg, "_pool", None)  # callers race to create it
+def test_callers_sharing_the_row_pool_count_their_own_work(spy_blocks, row_threads):
+    row_threads(2)
     a = fixed_row_nnz(6000, 300, 20, seed=38)
     b = rng_for(39).standard_normal((300, 20))
     c = rng_for(40).standard_normal((6000, 20))
@@ -465,8 +489,8 @@ def test_callers_sharing_the_row_pool_count_their_own_work(monkeypatch, spy_bloc
 
 
 @pytest.mark.parametrize("failing", ["pool", "caller"])
-def test_a_failing_block_reaches_the_caller_after_every_block_ends(monkeypatch, failing):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 2)
+def test_a_failing_block_reaches_the_caller_after_every_block_ends(row_threads, failing):
+    row_threads(2)
     ranges = [(0, 1), (1, 2), (2, 3), (3, 4)]  # the caller runs the first two, the pool the rest
     bad = (3, 4) if failing == "pool" else (1, 2)
     ended, ran_on = [], {}
@@ -487,8 +511,8 @@ def test_a_failing_block_reaches_the_caller_after_every_block_ends(monkeypatch, 
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_sparse_dense_mul_into_out_is_bitwise_the_call_without(monkeypatch, threads):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+def test_sparse_dense_mul_into_out_is_bitwise_the_call_without(row_threads, threads):
+    row_threads(threads)
     skewed = ic.as_sparse(sparse.vstack([fixed_row_nnz(1000, 300, 100, seed=30),
                                          fixed_row_nnz(5000, 300, 4, seed=29)]))
     small = random_sparse(30, 8, 0.5, seed=36)
@@ -619,8 +643,8 @@ def fused_products(a, b, g, m, s):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_fused_kernels_match_the_separate_passes(monkeypatch, threads):
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", threads)
+def test_fused_kernels_match_the_separate_passes(monkeypatch, row_threads, threads):
+    row_threads(threads)
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 300_000)
     skewed = ic.as_sparse(sparse.vstack([fixed_row_nnz(1000, 300, 100, seed=30),
                                          fixed_row_nnz(5000, 300, 4, seed=29)]))
@@ -647,16 +671,17 @@ def test_fused_kernels_match_the_separate_passes(monkeypatch, threads):
         np.testing.assert_allclose(col_sq, np.sum(out * out, axis=0), rtol=1e-13)
 
 
-def test_fused_kernels_under_more_threads_than_cores_keep_the_one_thread_bytes(monkeypatch):
+def test_fused_kernels_under_more_threads_than_cores_keep_the_one_thread_bytes(
+    monkeypatch, row_threads
+):
     monkeypatch.setattr(ic.linalg, "_ROW_BLOCK_MIN_WORK", 300_000)  # eight blocks
     a = fixed_row_nnz(6000, 300, 20, seed=55)
     rng = rng_for(56)
     b, m = rng.standard_normal((6000, 20)), rng.standard_normal((6000, 20))
     s, g = rng.standard_normal(20), rng.standard_normal((300, 20))
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", 1)
+    row_threads(1)
     want = fused_products(a, b, g, m, s)
-    monkeypatch.setattr(ic.linalg, "_ROW_BLOCKS", ic.linalg._usable_cores() + 3)
-    monkeypatch.setattr(ic.linalg, "_pool", None)  # a pool with one worker per extra thread
+    row_threads(ic.linalg._usable_cores() + 3)  # a pool with one worker per extra thread
     bad, done = [], []
 
     def caller():
@@ -673,8 +698,6 @@ def test_fused_kernels_under_more_threads_than_cores_keep_the_one_thread_bytes(m
         worker.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-        if ic.linalg._pool is not None:
-            ic.linalg._pool[1].shutdown(wait=False)
     assert not worker.is_alive()
     assert done == [True] and bad == []
 
@@ -748,14 +771,64 @@ def test_import_rejects_thread_count_that_is_not_a_positive_integer(value):
 
 def test_import_sizes_row_blocks_and_blas_timeout_from_thread_count():
     src = str(Path(ic.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_THREAD_TIMEOUT", "NUMEXPR_NUM_THREADS")}
     env.update(PYTHONPATH=src, ITERCCA_THREADS="2")
     code = ("import os, itercca; "
-            "print(itercca.linalg._ROW_BLOCKS, os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+            "print(itercca.linalg._ROW_BLOCKS, os.environ['OPENBLAS_THREAD_TIMEOUT'], "
+            "os.environ.get('NUMEXPR_NUM_THREADS'))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert done.stdout.split() == [str(min(2, cores)), "4"]
+    # numexpr is no dependency, so its thread count stays its user's
+    assert done.stdout.split() == [str(min(2, cores)), "4", "None"]
+
+
+FORK_AND_COMPARE = """
+import os, signal, sys, threading, time
+import numpy as np
+import itercca as ic
+from itercca.linalg import sparse_dense_mul, sparse_transpose_dense_mul
+
+rng = np.random.Generator(np.random.PCG64(59))
+n, p, per_row, k = 20_000, 200, 12, 10  # nnz * k = 2,400,000: two row blocks
+cols = np.argsort(rng.random((n, p)), axis=1)[:, :per_row]
+rows = np.repeat(np.arange(n), per_row)
+a = ic.as_sparse((rng.standard_normal(n * per_row), (rows, cols.ravel())), shape=(n, p))
+b, c = rng.standard_normal((p, k)), rng.standard_normal((n, k))
+
+
+def products():
+    return sparse_dense_mul(a, b).tobytes() + sparse_transpose_dense_mul(a, c).tobytes()
+
+
+want = products()
+assert ic.linalg._ROW_BLOCKS == 2
+assert any(t.name.startswith("itercca-rows") for t in threading.enumerate())
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if products() == want else 3)
+deadline = time.monotonic() + 30
+while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child's products did not return within 30 s")
+    time.sleep(0.01)
+print(os.waitstatus_to_exitcode(done[1]))
+"""
+
+
+def test_forked_child_runs_row_blocked_products_with_the_parents_bytes():
+    if ic.linalg._usable_cores() < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs two usable cores and os.fork")
+    src = str(Path(ic.__file__).resolve().parents[1])
+    # its own process: forking a process with threads warns on Python 3.12
+    env = {**os.environ, "PYTHONPATH": src, "ITERCCA_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", FORK_AND_COMPARE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 SOLVE_AND_HASH = """
